@@ -126,8 +126,9 @@ def _cmd_eval(args) -> int:
     if args.smoothness_csv:
         dataio.write_column(args.smoothness_csv,
                             [smoothness(ep) for ep in episodes if ep.steps >= 2])
-    print(f"{report.policy}: n={report.n_episodes} mean r_K={report.r_k_mean:.3f} m "
-          f"mean v_K={report.v_k_mean:.3f} m/s smoothness={report.smoothness_mean:.3f}")
+    print(f"{report.policy}: n={report.n_episodes} failed={report.n_failed} "
+          f"mean r_K={report.r_k_mean:.3f} m mean v_K={report.v_k_mean:.3f} m/s "
+          f"smoothness={report.smoothness_mean:.3f}")
     return 0
 
 

@@ -10,6 +10,7 @@ fixed-step RK4 on the 13-dim state [r, v, q, w].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -241,6 +242,14 @@ def _deriv(y: np.ndarray, thrust: np.ndarray, torque: np.ndarray, cfg: SimConfig
     return np.concatenate([v, acc, qdot, wdot])
 
 
+@functools.lru_cache(maxsize=8)
+def _inertia_inverse(inertia_bytes: bytes) -> np.ndarray:
+    """inv(inertia) keyed by the matrix's float64 bytes; read-only, as it is shared."""
+    inv = np.linalg.inv(np.frombuffer(inertia_bytes).reshape(3, 3))
+    inv.setflags(write=False)
+    return inv
+
+
 def step(state: ChaserState, action: Action, dt: float, cfg: SimConfig) -> ChaserState:
     """One RK4 step under a zero-order-hold body-frame wrench.
 
@@ -257,7 +266,7 @@ def step(state: ChaserState, action: Action, dt: float, cfg: SimConfig) -> Chase
     y0 = state.vector()
     if not np.all(np.isfinite(y0)):
         raise PropagationError("non-finite input state")
-    inertia_inv = np.linalg.inv(cfg.inertia)
+    inertia_inv = _inertia_inverse(cfg.inertia.tobytes())
     th, tq = action.thrust, action.torque
     k1 = _deriv(y0, th, tq, cfg, inertia_inv)
     k2 = _deriv(y0 + 0.5 * dt * k1, th, tq, cfg, inertia_inv)

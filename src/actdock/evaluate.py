@@ -158,10 +158,14 @@ def nearest_rank(values, p: float) -> float:
 
 @dataclass
 class EvalReport:
-    """Terminal-condition statistics for one policy's episode batch."""
+    """Terminal-condition statistics for one policy's episode batch.
+
+    The r_K and v_K statistics include a failed episode's last finite state;
+    a failed episode counts as a miss at every success radius."""
 
     policy: str
     n_episodes: int
+    n_failed: int
     total_steps: int
     r_k_mean: float
     r_k_p75: float
@@ -187,12 +191,14 @@ def terminal_report(episodes: list[Episode],
         raise ValueError("terminal_report needs at least one episode")
     r_k = np.array([ep.r_k for ep in episodes])
     v_k = np.array([ep.v_k for ep in episodes])
+    failed = np.array([ep.failed for ep in episodes])
     smo = np.array([smoothness(ep) for ep in episodes if ep.steps >= 2])
     if smo.size == 0:
         smo = np.array([0.0])
     return EvalReport(
         policy=episodes[0].policy,
         n_episodes=len(episodes),
+        n_failed=int(failed.sum()),
         total_steps=int(sum(ep.steps for ep in episodes)),
         r_k_mean=float(r_k.mean()),
         r_k_p75=nearest_rank(r_k, 75),
@@ -204,7 +210,8 @@ def terminal_report(episodes: list[Episode],
         v_k_p99=nearest_rank(v_k, 99),
         smoothness_mean=float(smo.mean()),
         smoothness_sd=float(smo.std(ddof=1)) if smo.size > 1 else 0.0,
-        success_rates={float(r): float((r_k < r).mean()) for r in success_radii},
+        success_rates={float(r): float(((r_k < r) & ~failed).mean())
+                       for r in success_radii},
     )
 
 

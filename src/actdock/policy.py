@@ -125,7 +125,8 @@ class Chunk:
 # --- positional encodings ---
 
 
-def _sinusoid(n: int, d: int) -> np.ndarray:
+def sinusoidal_pos_1d(n: int, d: int) -> np.ndarray:
+    """(n, d) fixed sin/cos sequence encoding."""
     if d % 2 != 0:
         raise ValueError(f"sinusoidal encoding width must be even, got {d}")
     pos = np.arange(n, dtype=np.float64)[:, None]
@@ -136,11 +137,6 @@ def _sinusoid(n: int, d: int) -> np.ndarray:
     return pe
 
 
-def sinusoidal_pos_1d(n: int, d: int) -> np.ndarray:
-    """(n, d) fixed sin/cos sequence encoding."""
-    return _sinusoid(n, d)
-
-
 def sinusoidal_pos_2d(h: int, w: int, d: int) -> np.ndarray:
     """(h*w, d) grid encoding: first half encodes the row, second the column.
 
@@ -149,8 +145,8 @@ def sinusoidal_pos_2d(h: int, w: int, d: int) -> np.ndarray:
     if d % 4 != 0:
         raise ValueError(f"2-D sinusoidal encoding width must divide by 4, got {d}")
     half = d // 2
-    rows = _sinusoid(h, half)
-    cols = _sinusoid(w, half)
+    rows = sinusoidal_pos_1d(h, half)
+    cols = sinusoidal_pos_1d(w, half)
     out = np.zeros((h * w, d))
     for i in range(h):
         for j in range(w):
@@ -249,19 +245,10 @@ def init_params(cfg: PolicyConfig, seed: int = 0) -> ParameterSet:
 
 
 def _mha(xq: Tensor, xkv: Tensor, ps: ParameterSet, name: str, cfg: PolicyConfig) -> Tensor:
-    bsz, tq, d = xq.shape
-    tk = xkv.shape[1]
-    h = cfg.n_heads
-    dh = d // h
-
-    def split_heads(x, tlen):
-        return T.transpose(T.reshape(x, (bsz, tlen, h, dh)), (0, 2, 1, 3))
-
-    q = split_heads(T.linear(xq, ps[f"{name}.wq"], ps[f"{name}.bq"]), tq)
-    k = split_heads(T.linear(xkv, ps[f"{name}.wk"], ps[f"{name}.bk"]), tk)
-    v = split_heads(T.linear(xkv, ps[f"{name}.wv"], ps[f"{name}.bv"]), tk)
-    out = T.attention(q, k, v)
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (bsz, tq, d))
+    q = T.linear(xq, ps[f"{name}.wq"], ps[f"{name}.bq"])
+    k = T.linear(xkv, ps[f"{name}.wk"], ps[f"{name}.bk"])
+    v = T.linear(xkv, ps[f"{name}.wv"], ps[f"{name}.bv"])
+    out = T.multi_head_attention(q, k, v, cfg.n_heads)
     return T.linear(out, ps[f"{name}.wo"], ps[f"{name}.bo"])
 
 
@@ -290,10 +277,29 @@ def _decoder_layer(x: Tensor, memory: Tensor, ps: ParameterSet, name: str,
 # --- observation tokenization ---
 
 
+def _patchify(x: Tensor) -> Tensor:
+    """(B, H, W, C) -> (B, H/2, W/2, C*4): every aligned 2x2 patch as one row,
+    ordered (channel, row, column) like a flattened (Cout, Cin, 2, 2) kernel."""
+    bsz, h, w, c = x.shape
+    x = T.reshape(x, (bsz, h // 2, 2, w // 2, 2, c))
+    x = T.transpose(x, (0, 1, 3, 5, 2, 4))
+    return T.reshape(x, (bsz, h // 2, w // 2, c * 4))
+
+
+def _conv(x: Tensor, ps: ParameterSet, name: str) -> Tensor:
+    """Convolution with a kernel that spans one row of x's last axis: the
+    stored (Cout, Cin, kh, kw) kernel as a (Cin*kh*kw, Cout) matrix."""
+    w = ps[f"{name}.w"]
+    return T.linear(x, T.transpose(T.reshape(w, (w.shape[0], -1)), (1, 0)), ps[f"{name}.b"])
+
+
 def image_feature_tokens(images: np.ndarray, ps: ParameterSet, cfg: PolicyConfig) -> Tensor:
     """Backbone features as (B, n_cameras*fh*fw, d_model) tokens, before any
-    positional encoding. Tokens are local: each sees exactly one aligned
-    2^len(channels)-pixel square patch."""
+    positional encoding, ordered row-major over the feature grid. Tokens are
+    local: each sees exactly one aligned 2^len(channels)-pixel square patch.
+
+    The backbone runs channels-last: each 2x2/stride-2 convolution is a
+    patchify followed by a linear map, each 1x1 convolution a linear map."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or images.shape[1] != cfg.n_cameras:
         raise ValueError(
@@ -302,15 +308,12 @@ def image_feature_tokens(images: np.ndarray, ps: ParameterSet, cfg: PolicyConfig
     bsz = images.shape[0]
     cam_tokens = []
     for ci in range(cfg.n_cameras):
-        x = Tensor(images[:, ci : ci + 1])
+        x = Tensor(images[:, ci, :, :, None])
         for bi in range(len(cfg.backbone_channels)):
-            x = T.gelu(T.conv2d(x, ps[f"backbone.b{bi}.down.w"],
-                                ps[f"backbone.b{bi}.down.b"], stride=2, pad=0))
-            x = T.gelu(T.add(x, T.conv2d(x, ps[f"backbone.b{bi}.res.w"],
-                                         ps[f"backbone.b{bi}.res.b"])))
-        x = T.conv2d(x, ps["backbone.proj.w"], ps["backbone.proj.b"])
-        x = T.reshape(x, (bsz, cfg.d_model, cfg.feat_height * cfg.feat_width))
-        cam_tokens.append(T.transpose(x, (0, 2, 1)))
+            x = T.gelu(_conv(_patchify(x), ps, f"backbone.b{bi}.down"))
+            x = T.gelu(T.add(x, _conv(x, ps, f"backbone.b{bi}.res")))
+        x = _conv(x, ps, "backbone.proj")
+        cam_tokens.append(T.reshape(x, (bsz, cfg.feat_height * cfg.feat_width, cfg.d_model)))
     return cam_tokens[0] if len(cam_tokens) == 1 else T.concat(cam_tokens, axis=1)
 
 
@@ -407,10 +410,12 @@ def predict_chunk(obs_tokens: Tensor, z, ps: ParameterSet, cfg: PolicyConfig) ->
 
 def infer_chunk(images: np.ndarray, state: np.ndarray, ps: ParameterSet,
                 cfg: PolicyConfig) -> Chunk:
-    """Inference-time chunk for a single observation; style z is zero."""
+    """Inference-time chunk for a single observation; style z is zero and no
+    autodiff graph is recorded."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 3:
         images = images[None]
-    tokens = embed_observation(images, state, ps, cfg)
-    out = predict_chunk(tokens, np.zeros((1, cfg.d_z)), ps, cfg)
+    with T.no_grad():
+        tokens = embed_observation(images, state, ps, cfg)
+        out = predict_chunk(tokens, np.zeros((1, cfg.d_z)), ps, cfg)
     return Chunk(actions=out.data[0], mask=np.ones(cfg.k, dtype=bool))

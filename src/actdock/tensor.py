@@ -7,15 +7,17 @@ gradients into every reachable tensor with ``requires_grad``. Graphs are
 built fresh each forward pass and discarded with the result.
 
 The op set is exactly what the docking policy needs: elementwise arithmetic,
-(batched) matmul, 2-D convolution with stride/padding, layer normalization,
-masked softmax / scaled dot-product attention, GELU/ReLU/tanh activations and
-the reductions used by the L1 and KL losses.
+reshape/transpose/concat/indexing, a one-node affine map over the last axis,
+layer normalization, fused multi-head scaled dot-product attention, GELU/tanh
+activations and the reductions used by the L1 and KL losses. Inside
+``no_grad()`` ops record no graph.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from typing import Iterable
 
 import numpy as np
@@ -77,9 +79,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
 
@@ -119,9 +118,24 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Ops inside the block build plain tensors: no parents, no backward."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -131,7 +145,9 @@ def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.broadcast_to(g, t.data.shape).astype(np.float64, copy=True)
+            if g.shape != t.data.shape:
+                g = np.broadcast_to(g, t.data.shape)
+            t.grad = np.array(g, dtype=np.float64)  # a copy: g may be shared
         else:
             t.grad += g
 
@@ -269,36 +285,35 @@ def take(a, idx) -> Tensor:
     return _make(np.array(out_data, copy=True), (a,), backward)
 
 
-# --- matmul ---
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must be >= 2-D, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise ShapeError(f"matmul: batch dims differ, {a.shape} x {b.shape}") from None
-    out_data = np.matmul(a.data, b.data)
-
-    def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        _accumulate(b, _unbroadcast(gb, b.shape))
-
-    return _make(out_data, (a, b), backward)
+# --- affine map ---
 
 
 def linear(x, w, b=None) -> Tensor:
-    """x @ w (+ b) on the last axis."""
-    out = matmul(x, w)
+    """x @ w (+ b) on the last axis, as one GEMM over the flattened leading axes."""
+    x, w = _coerce(x), _coerce(w)
+    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: cannot map {x.shape} with weight {w.shape}")
+    din, dout = w.shape
     if b is not None:
-        out = add(out, b)
-    return out
+        b = _coerce(b)
+        if b.shape != (dout,):
+            raise ShapeError(f"linear: bias must have shape ({dout},), got {b.shape}")
+    x2 = x.data.reshape(-1, din)
+    out_data = x2 @ w.data
+    if b is not None:
+        out_data += b.data
+    parents = (x, w) if b is None else (x, w, b)
+
+    def backward(g):
+        g2 = g.reshape(-1, dout)
+        if w.requires_grad:
+            _accumulate(w, x2.T @ g2)
+        if b is not None and b.requires_grad:
+            _accumulate(b, g2.sum(axis=0))
+        if x.requires_grad:
+            _accumulate(x, (g2 @ w.data.T).reshape(x.shape))
+
+    return _make(out_data.reshape(x.shape[:-1] + (dout,)), parents, backward)
 
 
 # --- reductions ---
@@ -352,15 +367,6 @@ def exp(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def log(a) -> Tensor:
-    a = _coerce(a)
-
-    def backward(g):
-        _accumulate(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), backward)
-
-
 def tanh(a) -> Tensor:
     a = _coerce(a)
     out_data = np.tanh(a.data)
@@ -369,15 +375,6 @@ def tanh(a) -> Tensor:
         _accumulate(a, g * (1.0 - out_data * out_data))
 
     return _make(out_data, (a,), backward)
-
-
-def relu(a) -> Tensor:
-    a = _coerce(a)
-
-    def backward(g):
-        _accumulate(a, g * (a.data > 0.0))
-
-    return _make(np.maximum(a.data, 0.0), (a,), backward)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -402,7 +399,7 @@ def gelu(a) -> Tensor:
     return _make(0.5 * x * (1.0 + t), (a,), backward)
 
 
-# --- normalization, softmax, attention ---
+# --- normalization, attention ---
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -434,117 +431,46 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _make(out_data, (x, gain, bias), backward)
 
 
-def softmax(x, mask=None) -> Tensor:
-    """Softmax over the last axis. `mask` is a boolean array broadcastable to
-    x.shape; False entries get zero weight. Rows with every entry masked fall
-    back to uniform weights (and pass no gradient)."""
-    x = _coerce(x)
-    data = x.data
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
-        neg = np.where(mask, data, -np.inf)
-        rowmax = neg.max(axis=-1, keepdims=True)
-        all_masked = ~np.isfinite(rowmax)
-        rowmax = np.where(all_masked, 0.0, rowmax)
-        e = np.exp(np.where(mask, data - rowmax, -np.inf))
-        e = np.where(mask, e, 0.0)
-        z = e.sum(axis=-1, keepdims=True)
-        uniform = np.ones_like(data) / data.shape[-1]
-        s = np.where(all_masked, uniform, e / np.where(z == 0.0, 1.0, z))
-    else:
-        rowmax = data.max(axis=-1, keepdims=True)
-        e = np.exp(data - rowmax)
-        s = e / e.sum(axis=-1, keepdims=True)
+def multi_head_attention(q, k, v, n_heads: int) -> Tensor:
+    """softmax(q_h k_h^T / sqrt(dh)) v_h for every head h, heads merged.
 
-    all_masked_rows = None if mask is None else ~mask.any(axis=-1, keepdims=True)
-
-    def backward(g):
-        t = g * s
-        gx = t - s * t.sum(axis=-1, keepdims=True)
-        if mask is not None:
-            # Masked entries have zero weight; fully-masked rows emit a
-            # constant uniform row. Neither passes gradient.
-            gx = np.where(mask, gx, 0.0)
-            gx = np.where(all_masked_rows, 0.0, gx)
-        _accumulate(x, gx)
-
-    return _make(s, (x,), backward)
-
-
-def attention(q, k, v, mask=None) -> Tensor:
-    """Scaled dot-product attention softmax(q k^T / sqrt(d)) v.
-
-    q: (..., T, d), k/v: (..., S, d); mask broadcastable to (..., T, S)."""
+    q: (B, T, d), k/v: (B, S, d); head h is the slice h*dh:(h+1)*dh of the
+    last axis, dh = d / n_heads. Returns (B, T, d). One node: the head split,
+    scores, softmax, weighted sum and head merge share one backward."""
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    d = q.shape[-1]
-    kt = transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
-    scores = scale(matmul(q, kt), 1.0 / np.sqrt(d))
-    weights = softmax(scores, mask=mask)
-    return matmul(weights, v)
+    if q.ndim != 3 or k.shape != v.shape or k.shape[::2] != q.shape[::2]:
+        raise ShapeError(f"attention: need q (B,T,d), k/v (B,S,d); got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    bsz, tq, d = q.shape
+    tk = k.shape[1]
+    if d % n_heads:
+        raise ShapeError(f"attention: width {d} does not split into {n_heads} heads")
+    dh = d // n_heads
 
+    def heads(x, tlen):  # (B, t, d) -> (B, h, t, dh)
+        return x.reshape(bsz, tlen, n_heads, dh).transpose(0, 2, 1, 3)
 
-# --- 2-D convolution ---
+    def merge(x, tlen):  # (B, h, t, dh) -> (B, t, d)
+        return x.transpose(0, 2, 1, 3).reshape(bsz, tlen, d)
 
-_COL_INDEX_CACHE: dict = {}
-
-
-def _col_indices(h: int, w: int, kh: int, kw: int, stride: int, pad: int):
-    key = (h, w, kh, kw, stride, pad)
-    cached = _COL_INDEX_CACHE.get(key)
-    if cached is not None:
-        return cached
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-    i0 = np.repeat(np.arange(kh), kw)
-    j0 = np.tile(np.arange(kw), kh)
-    i1 = stride * np.repeat(np.arange(ho), wo)
-    j1 = stride * np.tile(np.arange(wo), ho)
-    ii = i0[:, None] + i1[None, :]  # (kh*kw, ho*wo)
-    jj = j0[:, None] + j1[None, :]
-    _COL_INDEX_CACHE[key] = (ii, jj, ho, wo)
-    return ii, jj, ho, wo
-
-
-def conv2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of x (B, Cin, H, W) with kernels w (Cout, Cin, kh, kw)."""
-    x, w = _coerce(x), _coerce(w)
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d: need 4-D input and kernel, got {x.shape} and {w.shape}")
-    bsz, cin, h, hw = x.shape
-    cout, cin_w, kh, kw = w.shape
-    if cin != cin_w:
-        raise ShapeError(f"conv2d: input channels {cin} != kernel channels {cin_w}")
-    if h + 2 * pad < kh or hw + 2 * pad < kw:
-        raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than padded input")
-    if b is not None:
-        b = _coerce(b)
-        if b.shape != (cout,):
-            raise ShapeError(f"conv2d: bias must have shape ({cout},), got {b.shape}")
-    ii, jj, ho, wo = _col_indices(h, hw, kh, kw, stride, pad)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    # cols: (B, Cin, kh*kw, ho*wo) -> (B, Cin*kh*kw, ho*wo)
-    cols = xp[:, :, ii, jj].reshape(bsz, cin * kh * kw, ho * wo)
-    wmat = w.data.reshape(cout, cin * kh * kw)
-    out_data = np.matmul(wmat, cols).reshape(bsz, cout, ho, wo)
-    if b is not None:
-        out_data = out_data + b.data[None, :, None, None]
-
-    parents = (x, w) if b is None else (x, w, b)
+    qh, kh, vh = heads(q.data, tq), heads(k.data, tk), heads(v.data, tk)
+    c = 1.0 / np.sqrt(dh)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        gmat = g.reshape(bsz, cout, ho * wo)
-        _accumulate(w, np.einsum("bon,bkn->ok", gmat, cols).reshape(w.shape))
-        if b is not None:
-            _accumulate(b, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            gcols = np.matmul(wmat.T, gmat)  # (B, Cin*kh*kw, ho*wo)
-            gcols = gcols.reshape(bsz, cin, kh * kw, ho * wo)
-            gxp = np.zeros_like(xp)
-            np.add.at(gxp, (slice(None), slice(None), ii, jj), gcols)
-            gx = gxp[:, :, pad : pad + h, pad : pad + hw] if pad else gxp
-            _accumulate(x, gx)
+        gh = heads(g, tq)
+        if v.requires_grad:
+            _accumulate(v, merge(np.matmul(s.swapaxes(-1, -2), gh), tk))
+        t = np.matmul(gh, vh.swapaxes(-1, -2)) * s
+        gscores = (t - s * t.sum(axis=-1, keepdims=True)) * c
+        if q.requires_grad:
+            _accumulate(q, merge(np.matmul(gscores, kh), tq))
+        if k.requires_grad:
+            _accumulate(k, merge(np.matmul(gscores.swapaxes(-1, -2), qh), tk))
 
-    return _make(out_data, parents, backward)
+    return _make(merge(np.matmul(s, vh), tq), (q, k, v), backward)
 
 
 # --- parameters, optimizer, checkpoints ---
@@ -553,12 +479,19 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 
 class ParameterSet:
-    """Named float64 parameter tensors plus their Adam state."""
+    """Named float64 parameter tensors plus their Adam state.
+
+    The first adam_step packs parameters, first and second moments into one
+    flat buffer each; from then on every tensor's data and both moment arrays
+    are views of their slice, and the update runs once over each buffer, with
+    two same-sized work buffers kept for its intermediates."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
+        self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._work: tuple[np.ndarray, np.ndarray] | None = None
         self.step_count = 0
 
     def add(self, name: str, values) -> Tensor:
@@ -568,6 +501,7 @@ class ParameterSet:
         self._params[name] = t
         self._m[name] = np.zeros_like(t.data)
         self._v[name] = np.zeros_like(t.data)
+        self._flat = None  # repacked by the next adam_step
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -592,33 +526,54 @@ class ParameterSet:
         for t in self._params.values():
             t.grad = None
 
+    def _pack(self) -> None:
+        n = self.n_scalars()
+        self._flat = (np.empty(n), np.empty(n), np.empty(n))
+        self._work = (np.empty(n), np.empty(n))
+        off = 0
+        for name, t in self._params.items():
+            end = off + t.size
+            views = tuple(flat[off:end].reshape(t.shape) for flat in self._flat)
+            for view, arr in zip(views, (t.data, self._m[name], self._v[name])):
+                view[...] = arr
+            t.data, self._m[name], self._v[name] = views
+            off = end
+
     def adam_step(self, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
                   eps: float = 1e-8) -> None:
         """One bias-corrected Adam update; missing gradients count as zero.
         Gradients are cleared afterwards."""
+        if self._flat is None:
+            self._pack()
+        p, m, v = self._flat
+        g, tmp = self._work
+        off = 0
+        for t in self._params.values():
+            if t.grad is None:
+                g[off:off + t.size] = 0.0
+            else:
+                g[off:off + t.size] = t.grad.reshape(-1)
+                t.grad = None
+            off += t.size
         self.step_count += 1
-        t = self.step_count
-        c1 = 1.0 - beta1**t
-        c2 = 1.0 - beta2**t
-        for name, p in self._params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self._m[name]
-            v = self._v[name]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-            p.grad = None
-
-    def clone(self) -> "ParameterSet":
-        other = ParameterSet()
-        for name, p in self._params.items():
-            other.add(name, p.data.copy())
-            other._m[name] = self._m[name].copy()
-            other._v[name] = self._v[name].copy()
-        other.step_count = self.step_count
-        return other
+        c1 = 1.0 - beta1**self.step_count
+        c2 = 1.0 - beta2**self.step_count
+        # m = b1 m + (1-b1) g; v = b2 v + (1-b2) g g;
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps), evaluated in that order in place.
+        np.multiply(g, 1.0 - beta1, out=tmp)
+        m *= beta1
+        m += tmp
+        np.multiply(g, 1.0 - beta2, out=tmp)
+        tmp *= g
+        v *= beta2
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m, c1, out=g)
+        g *= lr
+        g /= tmp
+        p -= g
 
     # checkpoint format: 8-byte little-endian header length, JSON header, then
     # each tensor's float64 little-endian bytes at its recorded byte offset.

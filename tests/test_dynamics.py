@@ -7,6 +7,7 @@ from actdock.dynamics import (
     InitMode,
     PropagationError,
     SimConfig,
+    _inertia_inverse,
     boresight,
     episode_rng,
     look_at_port,
@@ -134,6 +135,17 @@ class TestAttitude:
             out = step(out, Action(np.zeros(3), torque), dt, sim)
         w_ref = 0.6 / sim.inertia[2, 2] * 30 * dt
         assert out.w[2] == pytest.approx(w_ref, rel=1e-12)
+
+    def test_inertia_inverse_follows_config(self):
+        full = SimConfig(inertia=np.array([[40.0, 1.0, 0.0], [1.0, 35.0, 0.5],
+                                           [0.0, 0.5, 30.0]]))
+        diag = SimConfig()
+        for cfg in (full, diag):
+            assert np.array_equal(_inertia_inverse(cfg.inertia.tobytes()),
+                                  np.linalg.inv(cfg.inertia))
+        state = make_state(w=(0.03, -0.05, 0.07))
+        act = Action(np.zeros(3), np.array([0.1, 0.2, -0.3]))
+        assert not np.array_equal(step(state, act, 0.89, full).w, step(state, act, 0.89, diag).w)
 
 
 class TestStepValidation:

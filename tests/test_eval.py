@@ -188,6 +188,20 @@ class TestTerminalReport:
         with pytest.raises(ValueError):
             terminal_report([])
 
+    def test_failed_episode_counts_as_miss(self):
+        docked = stub_episode([(0,) * 6, (1,) * 6],
+                              final=make_state(r=(0.0, -0.05, 0.0)), eid=0)
+        failed = stub_episode([(0,) * 6, (1,) * 6],
+                              final=make_state(r=(0.0, -50.0, 0.0)), eid=1)
+        failed.failed = True
+        failed.diagnostic = "step 1: propagation produced a non-finite state"
+        rep = terminal_report([docked, failed], success_radii=(0.8, 100.0))
+        assert rep.n_failed == 1
+        assert rep.success_rates == {0.8: 0.5, 100.0: 0.5}
+        assert rep.r_k_mean == pytest.approx(25.025)  # last finite state still counts
+        assert rep.as_dict()["n_failed"] == 1
+        assert terminal_report([docked]).n_failed == 0
+
     def test_as_dict_serializes_radii(self):
         eps = [stub_episode([(0,) * 6, (1,) * 6])]
         d = terminal_report(eps, success_radii=(0.8, 2.0)).as_dict()

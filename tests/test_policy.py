@@ -13,11 +13,13 @@ from actdock.policy import (
     sinusoidal_pos_1d,
     sinusoidal_pos_2d,
 )
+import actdock.policy as policy_mod
 from actdock.training import bc_loss
 import actdock.tensor as T
 from actdock.tensor import Tensor
 
 from conftest import tiny_policy_config
+from oracles import central_diff, conv2d_naive, softmax_naive
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +142,90 @@ class TestBackboneLocality:
             image_feature_tokens(np.zeros((2, 3, 8, 8)), params, cfg)
 
 
+def gelu_np(x):
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+
+
+class TestChannelsLastBackbone:
+    """The patchify + linear backbone against NCHW convolutions by conv2d_naive."""
+
+    @pytest.mark.parametrize("ksize", [2, 1])
+    def test_conv_matches_naive(self, ksize):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 3, 4, 6))
+        ps = T.ParameterSet()
+        ps.add("c.w", rng.normal(size=(5, 3, ksize, ksize)))
+        ps.add("c.b", rng.normal(size=5))
+        xt = Tensor(x.transpose(0, 2, 3, 1))
+        if ksize == 2:
+            xt = policy_mod._patchify(xt)
+        got = policy_mod._conv(xt, ps, "c").data.transpose(0, 3, 1, 2)
+        ref = conv2d_naive(x, ps["c.w"].data, ps["c.b"].data, stride=ksize)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("ksize", [2, 1])
+    def test_conv_grads(self, ksize):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(2, 4, 4, 3)), requires_grad=True)
+        ps = T.ParameterSet()
+        ps.add("c.w", rng.normal(size=(2, 3, ksize, ksize)))
+        ps.add("c.b", rng.normal(size=2))
+
+        def loss():
+            xt = policy_mod._patchify(x) if ksize == 2 else x
+            out = policy_mod._conv(xt, ps, "c")
+            return T.tsum(T.mul(out, out))
+
+        loss().backward()
+        for t in (x, ps["c.w"], ps["c.b"]):
+            def f(flat, t=t):
+                keep = t.data
+                t.data = flat.reshape(keep.shape)
+                try:
+                    return loss().item()
+                finally:
+                    t.data = keep
+
+            num = central_diff(f, t.data.reshape(-1)).reshape(t.shape)
+            np.testing.assert_allclose(t.grad, num, rtol=1e-6, atol=1e-6)
+
+    def test_feature_tokens_match_nchw_composition(self, cfg, params):
+        images, _ = obs_batch(cfg)
+        x = images
+        for bi in range(len(cfg.backbone_channels)):
+            name = f"backbone.b{bi}"
+            x = gelu_np(conv2d_naive(x, params[f"{name}.down.w"].data,
+                                     params[f"{name}.down.b"].data, stride=2))
+            x = gelu_np(x + conv2d_naive(x, params[f"{name}.res.w"].data,
+                                         params[f"{name}.res.b"].data))
+        x = conv2d_naive(x, params["backbone.proj.w"].data, params["backbone.proj.b"].data)
+        ref = x.reshape(x.shape[0], cfg.d_model, -1).transpose(0, 2, 1)  # token i*fw + j
+        got = image_feature_tokens(images, params, cfg).data
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+
+
+class TestFusedAttentionBlock:
+    def test_matches_per_node_composition(self, cfg, params):
+        """_mha against the per-node form it replaced: batched matmul + bias,
+        per-head softmax, head merge. Agreement is at rounding level."""
+        rng = np.random.default_rng(14)
+        xq = rng.normal(size=(2, 3, cfg.d_model))
+        xkv = rng.normal(size=(2, 5, cfg.d_model))
+        p = {part: params[f"enc.layers.0.attn.{part}"].data
+             for part in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
+        h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+
+        def split(x):
+            return x.reshape(x.shape[0], x.shape[1], h, dh).transpose(0, 2, 1, 3)
+
+        q, k, v = (split(x @ p[f"w{c}"] + p[f"b{c}"]) for c, x in
+                   (("q", xq), ("k", xkv), ("v", xkv)))
+        heads = softmax_naive(q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)) @ v
+        ref = heads.transpose(0, 2, 1, 3).reshape(xq.shape) @ p["wo"] + p["bo"]
+        got = policy_mod._mha(Tensor(xq), Tensor(xkv), params, "enc.layers.0.attn", cfg).data
+        np.testing.assert_allclose(got, ref, rtol=0, atol=2e-14)
+
+
 class TestEmbedObservation:
     def test_token_count_and_shape(self, cfg, params):
         images, states = obs_batch(cfg)
@@ -237,6 +323,26 @@ class TestInferChunk:
         a = infer_chunk(images[0], states[0], params, cfg)
         b = infer_chunk(images[0], states[0], params, cfg)
         assert np.array_equal(a.actions, b.actions)
+
+    def test_no_graph_and_same_actions_as_grad_mode(self, cfg, params, monkeypatch):
+        images, states = obs_batch(cfg, bsz=1)
+        params.zero_grad()
+        outputs = []
+        real = policy_mod.predict_chunk
+
+        def capture(*args, **kwargs):
+            outputs.append(real(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(policy_mod, "predict_chunk", capture)
+        chunk = infer_chunk(images[0], states[0], params, cfg)
+        (out,) = outputs
+        assert out._parents == () and out._backward is None and not out.requires_grad
+        assert all(t.grad is None for _, t in params.items())
+        tokens = embed_observation(images, states, params, cfg)
+        grad_mode = real(tokens, np.zeros((1, cfg.d_z)), params, cfg)
+        assert grad_mode.requires_grad
+        assert np.array_equal(chunk.actions, grad_mode.data[0])
 
     def test_chunk_validation(self):
         with pytest.raises(ValueError):
