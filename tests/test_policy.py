@@ -19,7 +19,7 @@ import actdock.tensor as T
 from actdock.tensor import Tensor
 
 from conftest import tiny_policy_config
-from oracles import central_diff, conv2d_naive, softmax_naive
+from oracles import conv2d_naive, softmax_naive
 
 
 @pytest.fixture(scope="module")
@@ -147,47 +147,8 @@ def gelu_np(x):
 
 
 class TestChannelsLastBackbone:
-    """The patchify + linear backbone against NCHW convolutions by conv2d_naive."""
-
-    @pytest.mark.parametrize("ksize", [2, 1])
-    def test_conv_matches_naive(self, ksize):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(2, 3, 4, 6))
-        ps = T.ParameterSet()
-        ps.add("c.w", rng.normal(size=(5, 3, ksize, ksize)))
-        ps.add("c.b", rng.normal(size=5))
-        xt = Tensor(x.transpose(0, 2, 3, 1))
-        if ksize == 2:
-            xt = policy_mod._patchify(xt)
-        got = policy_mod._conv(xt, ps, "c").data.transpose(0, 3, 1, 2)
-        ref = conv2d_naive(x, ps["c.w"].data, ps["c.b"].data, stride=ksize)
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
-
-    @pytest.mark.parametrize("ksize", [2, 1])
-    def test_conv_grads(self, ksize):
-        rng = np.random.default_rng(13)
-        x = Tensor(rng.normal(size=(2, 4, 4, 3)), requires_grad=True)
-        ps = T.ParameterSet()
-        ps.add("c.w", rng.normal(size=(2, 3, ksize, ksize)))
-        ps.add("c.b", rng.normal(size=2))
-
-        def loss():
-            xt = policy_mod._patchify(x) if ksize == 2 else x
-            out = policy_mod._conv(xt, ps, "c")
-            return T.tsum(T.mul(out, out))
-
-        loss().backward()
-        for t in (x, ps["c.w"], ps["c.b"]):
-            def f(flat, t=t):
-                keep = t.data
-                t.data = flat.reshape(keep.shape)
-                try:
-                    return loss().item()
-                finally:
-                    t.data = keep
-
-            num = central_diff(f, t.data.reshape(-1)).reshape(t.shape)
-            np.testing.assert_allclose(t.grad, num, rtol=1e-6, atol=1e-6)
+    """The patchify + linear backbone against NCHW convolutions by conv2d_naive
+    (single convolutions: tests/test_tensor.py TestConv2d)."""
 
     def test_feature_tokens_match_nchw_composition(self, cfg, params):
         images, _ = obs_batch(cfg)

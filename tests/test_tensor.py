@@ -4,11 +4,20 @@ import pytest
 import actdock.tensor as T
 from actdock.tensor import GraphError, ParameterSet, ShapeError, Tensor
 
-from oracles import central_diff, layer_norm_naive, softmax_naive
+from actdock.policy import _conv, _patchify
+from oracles import central_diff, conv2d_naive, layer_norm_naive, softmax_naive
 
 
 def leaf(data):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+
+
+def conv_nhwc(x, w, b):
+    """The backbone's stride = kernel convolution of (B, H, W, Cin) x with a
+    (Cout, Cin, k, k) kernel, k in {1, 2}."""
+    if w.shape[-1] == 2:
+        x = _patchify(x)
+    return _conv(x, {"c.w": w, "c.b": b}, "c")
 
 
 def fd_check(build, *shapes, h=1e-6, tol=1e-6, rng_seed=0):
@@ -29,6 +38,14 @@ def fd_check(build, *shapes, h=1e-6, tol=1e-6, rng_seed=0):
         num = central_diff(f, t.data.reshape(-1), h=h).reshape(t.data.shape)
         assert t.grad is not None, f"input {i} missing grad"
         np.testing.assert_allclose(t.grad, num, rtol=tol, atol=tol)
+
+
+def softmax_via_attention(x):
+    """softmax over the last axis of (B, T, S) x, read off the fused attention
+    op: one head, keys sqrt(S) I so the scores are x, values I."""
+    bsz, _, width = x.shape
+    eye = np.broadcast_to(np.eye(width), (bsz, width, width))
+    return T.multi_head_attention(x, Tensor(eye * np.sqrt(width)), Tensor(eye), 1)
 
 
 class TestElementwise:
@@ -100,14 +117,26 @@ class TestShapeOps:
         assert np.array_equal(a.grad, [[0, 0, 0], [1, 1, 1]])
 
 
-class TestLinear:
-    @pytest.mark.parametrize("x_shape", [(3, 4), (2, 5, 4), (2, 3, 5, 4)],
-                             ids=["2d", "3d", "4d"])
-    def test_grads_without_bias(self, x_shape):
-        fd_check(lambda x, w: T.tsum(T.mul(T.linear(x, w), T.linear(x, w))),
-                 x_shape, (4, 2))
+class TestMatmul:
+    """Matrix products: T.linear is the one matmul op, over flattened leading axes."""
 
-    def test_grads_with_bias(self):
+    def test_2d(self):
+        fd_check(lambda x, w: T.tsum(T.mul(T.linear(x, w), T.linear(x, w))), (3, 4), (4, 2))
+
+    def test_batched(self):
+        fd_check(lambda x, w: T.tsum(T.mul(T.linear(x, w), T.linear(x, w))), (2, 5, 4), (4, 2))
+
+    def test_broadcast_leading(self):
+        fd_check(lambda x, w: T.tsum(T.mul(T.linear(x, w), T.linear(x, w))),
+                 (2, 3, 5, 4), (4, 2))
+
+    def test_inner_dim_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.linear(leaf(np.zeros((2, 3))), leaf(np.zeros((4, 2))))
+        with pytest.raises(ShapeError):
+            T.linear(leaf(np.zeros((2, 3))), leaf(np.zeros((3, 2))), leaf(np.zeros(3)))
+
+    def test_linear_with_bias(self):
         fd_check(lambda x, w, b: T.tsum(T.mul(T.linear(x, w, b), T.linear(x, w, b))),
                  (2, 5, 3), (3, 4), (4,))
 
@@ -119,12 +148,6 @@ class TestLinear:
         ref = x @ w + b if with_bias else x @ w
         assert got.shape == (2, 5, 4)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.linear(leaf(np.zeros((2, 3))), leaf(np.zeros((4, 2))))
-        with pytest.raises(ShapeError):
-            T.linear(leaf(np.zeros((2, 3))), leaf(np.zeros((3, 2))), leaf(np.zeros(3)))
 
 
 class TestReductions:
@@ -160,6 +183,22 @@ class TestNormalizationAttention:
         with pytest.raises(ShapeError):
             T.layer_norm(leaf(np.zeros((2, 4))), leaf(np.zeros(3)), leaf(np.zeros(4)))
 
+    def test_softmax_forward(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 5))
+        np.testing.assert_allclose(softmax_via_attention(Tensor(x[None])).data[0],
+                                   softmax_naive(x), atol=1e-12)
+
+    def test_softmax_rows_sum_to_one(self):
+        x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 7)))
+        s = softmax_via_attention(x).data
+        np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_softmax_grad(self):
+        fd_check(lambda a, b: T.tsum(T.mul(softmax_via_attention(T.reshape(a, (1, 3, 5))),
+                                           T.reshape(b, (1, 3, 5)))),
+                 (3, 5), (3, 5))
+
     def test_attention_matches_composition(self):
         rng = np.random.default_rng(6)
         bsz, tq, tk, d, n_heads = 2, 3, 5, 8, 2
@@ -187,6 +226,28 @@ class TestNormalizationAttention:
         with pytest.raises(ShapeError):
             T.multi_head_attention(leaf(np.zeros((1, 2, 6))), leaf(np.zeros((1, 3, 6))),
                                    leaf(np.zeros((1, 4, 6))), 2)
+
+
+class TestConv2d:
+    """The backbone's convolutions, channels-last: kernel size equals stride
+    (2x2/stride-2 through the patchify, 1x1) and there is no padding."""
+
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 0)])
+    def test_forward_matches_naive(self, stride, pad):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2, 3, 6, 8))
+        w = rng.normal(size=(4, 3, stride, stride))
+        b = rng.normal(size=4)
+        got = conv_nhwc(Tensor(x.transpose(0, 2, 3, 1)), Tensor(w), Tensor(b)).data
+        ref = conv2d_naive(x, w, b, stride=stride, pad=pad)
+        np.testing.assert_allclose(got.transpose(0, 3, 1, 2), ref, rtol=0, atol=1e-14)
+
+    def test_grads(self):
+        fd_check(lambda x, w, b: T.tsum(T.mul(conv_nhwc(x, w, b), conv_nhwc(x, w, b))),
+                 (2, 4, 6, 2), (3, 2, 2, 2), (3,), tol=1e-5)
+
+    def test_one_by_one_kernel(self):
+        fd_check(lambda x, w, b: T.tsum(conv_nhwc(x, w, b)), (1, 4, 4, 3), (2, 3, 1, 1), (2,))
 
 
 class TestGraph:
