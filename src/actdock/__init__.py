@@ -18,7 +18,7 @@ from .dynamics import (
     step,
 )
 from .render import CameraModel, MarkerGeometry, render
-from .policy import Chunk, PolicyConfig, infer_chunk, init_params
+from .policy import PolicyConfig, infer_chunk, init_params
 from .ensemble import ChunkBuffer, ensemble, push
 from .expert import ExpertConfig, ExpertController, expert_action, generate_demos
 from .evaluate import (
@@ -43,7 +43,6 @@ __all__ = [
     "ActController",
     "CameraModel",
     "ChaserState",
-    "Chunk",
     "ChunkBuffer",
     "ConfigError",
     "Episode",

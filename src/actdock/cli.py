@@ -1,6 +1,7 @@
 """Command-line pipeline: demos -> train -> eval, plus stats, heatmap, inspect.
 
-Exit codes: 0 success, 1 validation/data errors (message on stderr), 2 usage.
+Exit codes: 0 success, 1 validation/data errors or diverged training (message on
+stderr), 2 usage.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .dynamics import InitMode
 from .evaluate import ActController, heatmap, run_episodes, terminal_report, smoothness
 from .expert import ExpertController, generate_demos
 from .render import render
-from .training import load_policy, train
+from .training import TrainingError, load_policy, train
 
 REPORT_FORMAT_VERSION = 1
 
@@ -72,16 +73,19 @@ def _cmd_train(args) -> int:
         "marker": section_dict(cfg.marker),
         "ensemble_decay": cfg.eval.ensemble_decay,
     }
-    _, curve = train(
-        demos,
-        cfg.policy,
-        cfg.train,
-        cfg.camera,
-        cfg.marker,
-        curve_path=args.curve,
-        checkpoint_path=args.out,
-        meta_extra=meta_extra,
-    )
+    # train() raises TrainingError on the first non-finite value; numpy's own
+    # overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, curve = train(
+            demos,
+            cfg.policy,
+            cfg.train,
+            cfg.camera,
+            cfg.marker,
+            curve_path=args.curve,
+            checkpoint_path=args.out,
+            meta_extra=meta_extra,
+        )
     print(f"trained {cfg.train.iterations} iterations "
           f"(final total loss {curve[-1][3]:.6f}); checkpoint at {args.out}")
     return 0
@@ -256,7 +260,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, dataio.ParseError, ValueError) as err:
+    except (ConfigError, dataio.ParseError, ValueError, TrainingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except FileNotFoundError as err:

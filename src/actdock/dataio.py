@@ -60,81 +60,81 @@ def read_episodes(path) -> list[Episode]:
     current_id = None
     current_records: list[StepRecord] = []
     expected_t = 0
+    lineno = 0
     with open(path, "r", encoding="utf-8") as f:
-        lines = f.readlines()
-    if not lines:
-        raise ParseError(path, 1, "empty file")
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise ParseError(path, lineno, f"invalid JSON ({err.msg})") from None
-        if lineno == 1:
-            if obj.get("kind") != "episodes":
-                raise ParseError(path, 1, f"expected an episodes header, got {obj!r}")
-            if obj.get("format_version") != EPISODE_FORMAT_VERSION:
-                raise ParseError(
-                    path, 1, f"unsupported format_version {obj.get('format_version')!r}"
-                )
-            continue
-        if "episode" not in obj:
-            raise ParseError(path, lineno, "record missing 'episode' field")
-        ep_id = obj["episode"]
-        if "summary" in obj:
-            if ep_id != current_id:
-                raise ParseError(path, lineno, f"summary for episode {ep_id} out of order")
-            s = obj["summary"]
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
             try:
-                final_state = ChaserState.from_vector(np.array(s["final_state"]))
-                ep = Episode(
-                    episode_id=ep_id,
-                    seed=int(s["seed"]),
-                    policy=str(s["policy"]),
-                    records=current_records,
-                    final_state=final_state,
-                    failed=bool(s.get("failed", False)),
-                    diagnostic=str(s.get("diagnostic", "")),
-                )
-            except (KeyError, ValueError) as err:
-                raise ParseError(path, lineno, f"bad summary: {err}") from None
-            if s["steps"] != ep.steps:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ParseError(path, lineno, f"invalid JSON ({err.msg})") from None
+            if lineno == 1:
+                if obj.get("kind") != "episodes":
+                    raise ParseError(path, 1, f"expected an episodes header, got {obj!r}")
+                if obj.get("format_version") != EPISODE_FORMAT_VERSION:
+                    raise ParseError(
+                        path, 1, f"unsupported format_version {obj.get('format_version')!r}"
+                    )
+                continue
+            if "episode" not in obj:
+                raise ParseError(path, lineno, "record missing 'episode' field")
+            ep_id = obj["episode"]
+            if "summary" in obj:
+                if ep_id != current_id:
+                    raise ParseError(path, lineno, f"summary for episode {ep_id} out of order")
+                s = obj["summary"]
+                try:
+                    final_state = ChaserState.from_vector(np.array(s["final_state"]))
+                    ep = Episode(
+                        episode_id=ep_id,
+                        seed=int(s["seed"]),
+                        policy=str(s["policy"]),
+                        records=current_records,
+                        final_state=final_state,
+                        failed=bool(s.get("failed", False)),
+                        diagnostic=str(s.get("diagnostic", "")),
+                    )
+                except (KeyError, ValueError) as err:
+                    raise ParseError(path, lineno, f"bad summary: {err}") from None
+                if s["steps"] != ep.steps:
+                    raise ParseError(
+                        path, lineno,
+                        f"summary says {s['steps']} steps, found {ep.steps}",
+                    )
+                episodes.append(ep)
+                current_id = None
+                current_records = []
+                expected_t = 0
+                continue
+            # step record
+            if current_id is None:
+                current_id = ep_id
+                expected_t = 0
+            if ep_id != current_id:
                 raise ParseError(
                     path, lineno,
-                    f"summary says {s['steps']} steps, found {ep.steps}",
+                    f"episode {ep_id} interleaved with unfinished episode {current_id}",
                 )
-            episodes.append(ep)
-            current_id = None
-            current_records = []
-            expected_t = 0
-            continue
-        # step record
-        if current_id is None:
-            current_id = ep_id
-            expected_t = 0
-        if ep_id != current_id:
-            raise ParseError(
-                path, lineno,
-                f"episode {ep_id} interleaved with unfinished episode {current_id}",
-            )
-        if obj.get("t") != expected_t:
-            raise ParseError(
-                path, lineno, f"expected step t={expected_t}, got {obj.get('t')!r}"
-            )
-        try:
-            rec = StepRecord(
-                state=ChaserState.from_vector(np.array(obj["state"])),
-                action=Action.from_vector(np.array(obj["action"])),
-                dt=float(obj["dt"]),
-            )
-        except (KeyError, ValueError) as err:
-            raise ParseError(path, lineno, f"bad step record: {err}") from None
-        current_records.append(rec)
-        expected_t += 1
+            if obj.get("t") != expected_t:
+                raise ParseError(
+                    path, lineno, f"expected step t={expected_t}, got {obj.get('t')!r}"
+                )
+            try:
+                rec = StepRecord(
+                    state=ChaserState.from_vector(np.array(obj["state"])),
+                    action=Action.from_vector(np.array(obj["action"])),
+                    dt=float(obj["dt"]),
+                )
+            except (KeyError, ValueError) as err:
+                raise ParseError(path, lineno, f"bad step record: {err}") from None
+            current_records.append(rec)
+            expected_t += 1
+    if lineno == 0:
+        raise ParseError(path, 1, "empty file")
     if current_id is not None:
-        raise ParseError(path, len(lines), f"episode {current_id} has no summary line")
+        raise ParseError(path, lineno, f"episode {current_id} has no summary line")
     return episodes
 
 

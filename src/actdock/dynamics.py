@@ -43,54 +43,69 @@ def _as_vec(x, n: int, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
 class ChaserState:
-    """Chaser kinematic state; docking port sits at the LVLH origin."""
+    """Chaser kinematic state; docking port sits at the LVLH origin.
 
-    r: np.ndarray  # position [m], LVLH
-    v: np.ndarray  # velocity [m/s], LVLH
-    q: np.ndarray  # unit quaternion (scalar first), body -> LVLH
-    w: np.ndarray  # angular rate [rad/s], body frame
+    Held as one 13-vector [r, v, q, w]: an episode keeps one state per step,
+    and one array in place of four more than halves that memory. r, v, q and w
+    are views into it and cannot be reassigned.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", _as_vec(self.r, 3, "r"))
-        object.__setattr__(self, "v", _as_vec(self.v, 3, "v"))
-        object.__setattr__(self, "q", _as_vec(self.q, 4, "q"))
-        object.__setattr__(self, "w", _as_vec(self.w, 3, "w"))
-        vec = self.vector()
-        if not np.all(np.isfinite(vec)):
+    __slots__ = ("_y",)
+
+    def __init__(self, r, v, q, w):
+        self._set(np.concatenate([_as_vec(r, 3, "r"), _as_vec(v, 3, "v"),
+                                  _as_vec(q, 4, "q"), _as_vec(w, 3, "w")]))
+
+    def _set(self, y: np.ndarray) -> None:
+        if not all(map(math.isfinite, y.tolist())):
             raise PropagationError("state contains non-finite components")
-        qn = np.linalg.norm(self.q)
+        qn = math.hypot(*y[6:10].tolist())
         if abs(qn - 1.0) > 1e-6:
             raise ValueError(f"q must be a unit quaternion, |q| = {qn}")
+        self._y = y
+
+    r = property(lambda self: self._y[0:3], doc="position [m], LVLH")
+    v = property(lambda self: self._y[3:6], doc="velocity [m/s], LVLH")
+    q = property(lambda self: self._y[6:10], doc="unit quaternion (scalar first), body -> LVLH")
+    w = property(lambda self: self._y[10:13], doc="angular rate [rad/s], body frame")
+
+    def __repr__(self) -> str:
+        return f"ChaserState(r={self.r!r}, v={self.v!r}, q={self.q!r}, w={self.w!r})"
 
     def vector(self) -> np.ndarray:
-        return np.concatenate([self.r, self.v, self.q, self.w])
+        return self._y.copy()
 
     @classmethod
     def from_vector(cls, y) -> "ChaserState":
-        y = _as_vec(y, 13, "state vector")
-        return cls(r=y[0:3], v=y[3:6], q=y[6:10], w=y[10:13])
+        state = cls.__new__(cls)
+        state._set(_as_vec(y, 13, "state vector"))
+        return state
 
 
-@dataclass(frozen=True)
 class Action:
-    """Body-frame wrench commanded for one step (zero-order hold)."""
+    """Body-frame wrench commanded for one step (zero-order hold), held as the
+    6-vector [thrust, torque]; thrust and torque are views into it."""
 
-    thrust: np.ndarray  # [N]
-    torque: np.ndarray  # [N*m]
+    __slots__ = ("_a",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "thrust", _as_vec(self.thrust, 3, "thrust"))
-        object.__setattr__(self, "torque", _as_vec(self.torque, 3, "torque"))
+    def __init__(self, thrust, torque):
+        self._a = np.concatenate([_as_vec(thrust, 3, "thrust"), _as_vec(torque, 3, "torque")])
+
+    thrust = property(lambda self: self._a[0:3], doc="[N]")
+    torque = property(lambda self: self._a[3:6], doc="[N*m]")
+
+    def __repr__(self) -> str:
+        return f"Action(thrust={self.thrust!r}, torque={self.torque!r})"
 
     def vector(self) -> np.ndarray:
-        return np.concatenate([self.thrust, self.torque])
+        return self._a.copy()
 
     @classmethod
     def from_vector(cls, a) -> "Action":
-        a = _as_vec(a, 6, "action vector")
-        return cls(thrust=a[0:3], torque=a[3:6])
+        action = cls.__new__(cls)
+        action._a = _as_vec(a, 6, "action vector")
+        return action
 
 
 class InitMode(Enum):
@@ -218,28 +233,49 @@ def boresight(state: ChaserState) -> np.ndarray:
 # --- propagation ---
 
 
-def _deriv(y: np.ndarray, thrust: np.ndarray, torque: np.ndarray, cfg: SimConfig,
-           inertia_inv: np.ndarray) -> np.ndarray:
-    n = cfg.n
-    r = y[0:3]
-    v = y[3:6]
-    q = y[6:10]
-    w = y[10:13]
-    # Rotate the body-frame thrust with a normalized copy: RK4 stage states
-    # drift slightly off the unit sphere.
-    qn = q / np.linalg.norm(q)
-    f_lvlh = quat_rotate(qn, thrust)
-    acc = np.array(
-        [
-            3.0 * n * n * r[0] + 2.0 * n * v[1],
-            -2.0 * n * v[0],
-            -n * n * r[2],
-        ]
-    )
-    acc += f_lvlh / cfg.mass
-    qdot = 0.5 * quat_mul(q, np.concatenate([[0.0], w]))
-    wdot = inertia_inv @ (torque - np.cross(w, cfg.inertia @ w))
-    return np.concatenate([v, acc, qdot, wdot])
+def _deriv(y, thrust, torque, n: float, mass: float, inertia, inertia_inv) -> list[float]:
+    """d/dt of the 13 state numbers y under a body-frame wrench, in plain floats.
+
+    inertia and inertia_inv are row-major 9-tuples. The thrust is rotated with
+    a normalized copy of q: RK4 stage states drift slightly off the unit sphere.
+    """
+    x, _, z, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
+    tx, ty, tz = thrust
+    lx, ly, lz = torque
+    qn = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    a, b, c, d = qw / qn, qx / qn, qy / qn, qz / qn
+    # f_lvlh = R(q) @ thrust, R as in quat_to_matrix
+    fx = ((1 - 2 * (c * c + d * d)) * tx + 2 * (b * c - a * d) * ty
+          + 2 * (b * d + a * c) * tz)
+    fy = (2 * (b * c + a * d) * tx + (1 - 2 * (b * b + d * d)) * ty
+          + 2 * (c * d - a * b) * tz)
+    fz = (2 * (b * d - a * c) * tx + 2 * (c * d + a * b) * ty
+          + (1 - 2 * (b * b + c * c)) * tz)
+    # Euler: I^-1 @ (torque - w x (I @ w))
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = inertia
+    hx = i00 * wx + i01 * wy + i02 * wz
+    hy = i10 * wx + i11 * wy + i12 * wz
+    hz = i20 * wx + i21 * wy + i22 * wz
+    mx = lx - (wy * hz - wz * hy)
+    my = ly - (wz * hx - wx * hz)
+    mz = lz - (wx * hy - wy * hx)
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = inertia_inv
+    return [
+        vx,
+        vy,
+        vz,
+        3.0 * n * n * x + 2.0 * n * vy + fx / mass,
+        -2.0 * n * vx + fy / mass,
+        -n * n * z + fz / mass,
+        # 0.5 * q (x) (0, w), Hamilton product
+        0.5 * (-qx * wx - qy * wy - qz * wz),
+        0.5 * (qw * wx + qy * wz - qz * wy),
+        0.5 * (qw * wy - qx * wz + qz * wx),
+        0.5 * (qw * wz + qx * wy - qy * wx),
+        j00 * mx + j01 * my + j02 * mz,
+        j10 * mx + j11 * my + j12 * mz,
+        j20 * mx + j21 * my + j22 * mz,
+    ]
 
 
 @functools.lru_cache(maxsize=8)
@@ -250,6 +286,13 @@ def _inertia_inverse(inertia_bytes: bytes) -> np.ndarray:
     return inv
 
 
+@functools.lru_cache(maxsize=8)
+def _inertia_terms(inertia_bytes: bytes) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(inertia, inv(inertia)) as row-major 9-tuples of floats."""
+    inertia = tuple(np.frombuffer(inertia_bytes).tolist())
+    return inertia, tuple(_inertia_inverse(inertia_bytes).ravel().tolist())
+
+
 def step(state: ChaserState, action: Action, dt: float, cfg: SimConfig) -> ChaserState:
     """One RK4 step under a zero-order-hold body-frame wrench.
 
@@ -258,24 +301,29 @@ def step(state: ChaserState, action: Action, dt: float, cfg: SimConfig) -> Chase
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    wrench = action._a.tolist()
+    th, tq = wrench[0:3], wrench[3:6]
     tol = 1e-9
-    if np.any(np.abs(action.thrust) > cfg.t_max + tol):
+    if any(abs(t) > cfg.t_max + tol for t in th):
         raise ValueError(f"thrust {action.thrust} exceeds bound {cfg.t_max} N")
-    if np.any(np.abs(action.torque) > cfg.l_max + tol):
+    if any(abs(t) > cfg.l_max + tol for t in tq):
         raise ValueError(f"torque {action.torque} exceeds bound {cfg.l_max} N*m")
-    y0 = state.vector()
-    if not np.all(np.isfinite(y0)):
+    y0 = state._y.tolist()
+    if not all(map(math.isfinite, y0)):
         raise PropagationError("non-finite input state")
-    inertia_inv = _inertia_inverse(cfg.inertia.tobytes())
-    th, tq = action.thrust, action.torque
-    k1 = _deriv(y0, th, tq, cfg, inertia_inv)
-    k2 = _deriv(y0 + 0.5 * dt * k1, th, tq, cfg, inertia_inv)
-    k3 = _deriv(y0 + 0.5 * dt * k2, th, tq, cfg, inertia_inv)
-    k4 = _deriv(y0 + dt * k3, th, tq, cfg, inertia_inv)
-    y = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(y)):
+    inertia, inertia_inv = _inertia_terms(cfg.inertia.tobytes())
+    args = (th, tq, cfg.n, cfg.mass, inertia, inertia_inv)
+    half = 0.5 * dt
+    k1 = _deriv(y0, *args)
+    k2 = _deriv([yi + half * ki for yi, ki in zip(y0, k1)], *args)
+    k3 = _deriv([yi + half * ki for yi, ki in zip(y0, k2)], *args)
+    k4 = _deriv([yi + dt * ki for yi, ki in zip(y0, k3)], *args)
+    h = dt / 6.0
+    y = [yi + h * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in zip(y0, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, y)):
         raise PropagationError("propagation produced a non-finite state")
-    y[6:10] /= np.linalg.norm(y[6:10])
+    qn = math.sqrt(sum(v * v for v in y[6:10]))
+    y[6:10] = [v / qn for v in y[6:10]]
     return ChaserState.from_vector(y)
 
 

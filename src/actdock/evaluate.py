@@ -78,9 +78,9 @@ class ActController:
 
     def act(self, state: ChaserState, t: int, image: np.ndarray) -> Action:
         chunk = infer_chunk(image[None], state.vector(), self.params, self.cfg)
-        push(self.buffer, chunk.actions, t)
+        push(self.buffer, chunk, t)
         if self.trace is not None:
-            self.trace.append((t, chunk.actions))
+            self.trace.append((t, chunk))
         return Action.from_vector(ensemble(self.buffer, t))
 
 

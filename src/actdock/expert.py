@@ -10,6 +10,7 @@ produce maximally jerky but equally goal-directed commands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +20,11 @@ from .dynamics import (
     ChaserState,
     InitMode,
     SimConfig,
-    quat_rotate_inv,
 )
 from .evaluate import Episode, rollout
 
 
-APPROACH_AXIS = np.array([0.0, 1.0, 0.0])  # the docking corridor runs along V-bar
+APPROACH_AXIS = (0.0, 1.0, 0.0)  # the docking corridor runs along V-bar
 
 
 @dataclass
@@ -57,21 +57,38 @@ def expert_action(state: ChaserState, cfg: ExpertConfig, sim: SimConfig) -> Acti
     the corridor axis gradually and the set of demonstrations sweeps a funnel
     around the port instead of collapsing onto a single ray. Setting
     v_lateral equal to v_profile recovers a straight pursuit of the port."""
-    r_par = (state.r @ APPROACH_AXIS) * APPROACH_AXIS
-    r_perp = state.r - r_par
-    v_des = -cfg.v_profile * r_par - cfg.v_lateral * r_perp
-    thrust_lvlh = sim.mass * (cfg.kp_pos * (-state.r) + cfg.kd_pos * (v_des - state.v))
-    thrust = quat_rotate_inv(state.q, thrust_lvlh)
-    thrust = np.clip(thrust, -sim.t_max, sim.t_max)
+    rx, ry, rz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = state.vector().tolist()
+    ax, ay, az = APPROACH_AXIS
+    along = rx * ax + ry * ay + rz * az
+    px, py, pz = along * ax, along * ay, along * az  # r_par; r_perp = r - r_par
+    vp, vl = cfg.v_profile, cfg.v_lateral
+    vdx = -vp * px - vl * (rx - px)
+    vdy = -vp * py - vl * (ry - py)
+    vdz = -vp * pz - vl * (rz - pz)
+    m, kp, kd = sim.mass, cfg.kp_pos, cfg.kd_pos
+    fx = m * (kp * -rx + kd * (vdx - vx))
+    fy = m * (kp * -ry + kd * (vdy - vy))
+    fz = m * (kp * -rz + kd * (vdz - vz))
+    # Rows of R(q)^T, the LVLH -> body rotation, with R as in quat_to_matrix.
+    r00, r01, r02 = 1 - 2 * (qy * qy + qz * qz), 2 * (qx * qy + qw * qz), 2 * (qx * qz - qw * qy)
+    r10, r11, r12 = 2 * (qx * qy - qw * qz), 1 - 2 * (qx * qx + qz * qz), 2 * (qy * qz + qw * qx)
+    r20, r21, r22 = 2 * (qx * qz + qw * qy), 2 * (qy * qz - qw * qx), 1 - 2 * (qx * qx + qy * qy)
+    t_max = sim.t_max
+    thrust = [min(max(t, -t_max), t_max) for t in (r00 * fx + r01 * fy + r02 * fz,
+                                                   r10 * fx + r11 * fy + r12 * fz,
+                                                   r20 * fx + r21 * fy + r22 * fz)]
 
-    rn = float(np.linalg.norm(state.r))
+    rn = math.sqrt(rx * rx + ry * ry + rz * rz)
     if rn > 1e-9:
-        d_body = quat_rotate_inv(state.q, -state.r / rn)
-        att_err = np.cross([0.0, 0.0, 1.0], d_body)  # rotates boresight onto the port
+        # att_err = (0, 0, 1) x d, d the body-frame direction to the port,
+        # rotates the boresight onto the port
+        ux, uy, uz = -rx / rn, -ry / rn, -rz / rn
+        att_err = (-(r10 * ux + r11 * uy + r12 * uz), r00 * ux + r01 * uy + r02 * uz, 0.0)
     else:
-        att_err = np.zeros(3)
-    torque = cfg.kp_att * att_err - cfg.kd_att * state.w
-    torque = np.clip(torque, -sim.l_max, sim.l_max)
+        att_err = (0.0, 0.0, 0.0)
+    l_max = sim.l_max
+    torque = [min(max(cfg.kp_att * e - cfg.kd_att * w, -l_max), l_max)
+              for e, w in zip(att_err, (wx, wy, wz))]
     return Action(thrust=thrust, torque=torque)
 
 

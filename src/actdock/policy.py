@@ -106,22 +106,6 @@ class LatentStyle:
     z: Tensor
 
 
-@dataclass
-class Chunk:
-    """k consecutive actions; mask marks entries backed by real data."""
-
-    actions: np.ndarray  # (k, d_action)
-    mask: np.ndarray  # (k,) bool
-
-    def __post_init__(self):
-        self.actions = np.asarray(self.actions, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.actions.ndim != 2:
-            raise ValueError(f"chunk actions must be 2-D, got {self.actions.shape}")
-        if self.mask.shape != (self.actions.shape[0],):
-            raise ValueError("chunk mask length must match number of actions")
-
-
 # --- positional encodings ---
 
 
@@ -409,13 +393,13 @@ def predict_chunk(obs_tokens: Tensor, z, ps: ParameterSet, cfg: PolicyConfig) ->
 
 
 def infer_chunk(images: np.ndarray, state: np.ndarray, ps: ParameterSet,
-                cfg: PolicyConfig) -> Chunk:
-    """Inference-time chunk for a single observation; style z is zero and no
-    autodiff graph is recorded."""
+                cfg: PolicyConfig) -> np.ndarray:
+    """Inference-time (k, d_action) chunk for a single observation; style z is
+    zero and no autodiff graph is recorded."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 3:
         images = images[None]
     with T.no_grad():
         tokens = embed_observation(images, state, ps, cfg)
         out = predict_chunk(tokens, np.zeros((1, cfg.d_z)), ps, cfg)
-    return Chunk(actions=out.data[0], mask=np.ones(cfg.k, dtype=bool))
+    return out.data[0]

@@ -16,6 +16,7 @@ activations and the reductions used by the L1 and KL losses. Inside
 from __future__ import annotations
 
 import json
+import os
 import struct
 from contextlib import contextmanager
 from typing import Iterable
@@ -599,10 +600,19 @@ class ParameterSet:
             "tensors": entries,
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as f:
-            f.write(struct.pack("<Q", len(blob)))
-            f.write(blob)
-            f.write(bytes(payload))
+        # Write a sibling temp file and rename it over `path`, so an interrupted
+        # save never leaves a torn checkpoint behind.
+        path = os.fspath(path)
+        tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as f:
+                f.write(struct.pack("<Q", len(blob)))
+                f.write(blob)
+                f.write(bytes(payload))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
     @classmethod
     def load(cls, path) -> tuple["ParameterSet", dict]:

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,19 @@ class TestExitCodes:
                      "--episode", "99", "--outdir", str(workdir / "x"),
                      "--config", str(workdir / "run.json")]) == 1
         assert "episode" in capsys.readouterr().err
+
+    def test_diverged_training_reported(self, workdir, tmp_path, capsys):
+        cfg = dict(TINY_CONFIG, train={"iterations": 3, "batch_size": 2,
+                                       "learning_rate": 1e300})
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy overflow warnings would escape main
+            assert main(["train", "--demos", str(workdir / "demos.ndjson"),
+                         "--out", str(tmp_path / "p.npz"), "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: diverged at iteration")
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_usage_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -148,6 +148,50 @@ class TestAttitude:
         assert not np.array_equal(step(state, act, 0.89, full).w, step(state, act, 0.89, diag).w)
 
 
+class TestScalarStepMatchesOracle:
+    """One `step` against an RK4 built on the numpy oracle derivative, with a
+    full inertia. The two round differently (BLAS mat-vecs, linalg.solve), so
+    they agree to an ulp or so per component, not bit for bit."""
+
+    SIM = SimConfig(inertia=np.array([[40.0, 1.0, -0.5], [1.0, 35.0, 0.5],
+                                      [-0.5, 0.5, 30.0]]))
+    R0 = np.array([1.5, -20.0, 0.8])
+    TILTED = np.array([0.8, 0.2, -0.4, 0.4]) / np.linalg.norm([0.8, 0.2, -0.4, 0.4])
+
+    def oracle_step(self, state, action, dt):
+        sim = self.SIM
+
+        def f(y):
+            return rigid_cw_deriv(0.0, y, sim.n, sim.mass, sim.inertia,
+                                  action.thrust, action.torque)
+
+        y0 = state.vector()
+        k1 = f(y0)
+        k2 = f(y0 + 0.5 * dt * k1)
+        k3 = f(y0 + 0.5 * dt * k2)
+        k4 = f(y0 + dt * k3)
+        y = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y[6:10] /= np.linalg.norm(y[6:10])
+        return y
+
+    @pytest.mark.parametrize("case", ["thrust", "torque", "tumbling"])
+    def test_one_step(self, case):
+        r0 = self.R0
+        if case == "thrust":
+            state = make_state(r=r0, v=(0.02, 0.1, -0.01), q=look_at_port(r0))
+            action = Action(np.array([3.0, -7.0, 12.0]), np.zeros(3))
+        elif case == "torque":
+            state = make_state(r=r0, q=look_at_port(r0))
+            action = Action(np.zeros(3), np.array([0.3, -0.6, 0.9]))
+        else:
+            state = make_state(r=r0, v=(0.02, 0.1, -0.01), q=self.TILTED,
+                               w=(0.3, -0.2, 0.25))
+            action = Action(np.array([3.0, -7.0, 12.0]), np.array([0.3, -0.6, 0.9]))
+        out = step(state, action, 0.89, self.SIM).vector()
+        np.testing.assert_allclose(out, self.oracle_step(state, action, 0.89),
+                                   rtol=1e-15, atol=0.0)
+
+
 class TestStepValidation:
     def test_thrust_bound_enforced(self, sim):
         with pytest.raises(ValueError, match="thrust"):
@@ -177,6 +221,18 @@ class TestStepValidation:
         with pytest.raises(ValueError, match="quaternion"):
             ChaserState(r=np.zeros(3), v=np.zeros(3),
                         q=np.array([1.0, 1.0, 0, 0]), w=np.zeros(3))
+
+    def test_fields_cannot_be_reassigned_and_vector_is_a_copy(self):
+        state = make_state(r=(1, -2, 3), w=(0.01, 0.02, 0.03))
+        action = Action(np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3]))
+        with pytest.raises(AttributeError):
+            state.r = np.zeros(3)
+        with pytest.raises(AttributeError):
+            action.thrust = np.zeros(3)
+        state.vector()[:] = 0.0
+        action.vector()[:] = 0.0
+        assert np.array_equal(state.r, [1.0, -2.0, 3.0]) and state.w[2] == 0.03
+        assert np.array_equal(action.vector(), [1.0, 2.0, 3.0, 0.1, 0.2, 0.3])
 
     def test_vector_round_trip(self):
         state = make_state(r=(1, -2, 3), v=(0.1, 0.2, 0.3), w=(0.01, 0.02, 0.03))

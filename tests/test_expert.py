@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from actdock.dynamics import Action, ChaserState, InitMode, SimConfig
+from actdock.dataio import write_episodes
+from actdock.dynamics import Action, ChaserState, InitMode, SimConfig, quat_to_matrix
 from actdock.evaluate import rollout, smoothness
 from actdock.expert import (
     ExpertConfig,
@@ -69,6 +70,40 @@ class TestExpertAction:
     def test_torque_zero_when_aligned_and_still(self, sim):
         a = expert_action(make_state(r=(0.0, 0.0, -10.0)), ExpertConfig(), sim)
         assert np.linalg.norm(a.torque) < 1e-12
+
+
+def vector_expert_action(state, cfg, sim):
+    """The expert law in numpy vector form: projections, 3x3 mat-vecs, np.cross."""
+    axis = np.array([0.0, 1.0, 0.0])
+    r_par = (state.r @ axis) * axis
+    v_des = -cfg.v_profile * r_par - cfg.v_lateral * (state.r - r_par)
+    thrust_lvlh = sim.mass * (cfg.kp_pos * (-state.r) + cfg.kd_pos * (v_des - state.v))
+    rot_t = quat_to_matrix(state.q).T
+    thrust = np.clip(rot_t @ thrust_lvlh, -sim.t_max, sim.t_max)
+    rn = np.linalg.norm(state.r)
+    att_err = np.cross([0.0, 0.0, 1.0], rot_t @ (-state.r / rn)) if rn > 1e-9 else np.zeros(3)
+    torque = np.clip(cfg.kp_att * att_err - cfg.kd_att * state.w, -sim.l_max, sim.l_max)
+    return thrust, torque
+
+
+class TestScalarLawMatchesVectorForm:
+    def test_random_states(self, sim, rng):
+        cfg = ExpertConfig()
+        states = [make_state(r=(0.0, 0.0, 0.0), w=(0.5, -0.01, 0.02)),
+                  make_state(r=(1e-10, 0.0, 0.0))]
+        for _ in range(200):
+            q = rng.normal(size=4)
+            states.append(make_state(r=rng.uniform(-30.0, 30.0, 3), v=rng.normal(0.0, 0.5, 3),
+                                     q=q / np.linalg.norm(q), w=rng.normal(0.0, 0.1, 3)))
+        thrust_clipped = torque_clipped = 0
+        for state in states:
+            action = expert_action(state, cfg, sim)
+            thrust, torque = vector_expert_action(state, cfg, sim)
+            np.testing.assert_allclose(action.thrust, thrust, rtol=0.0, atol=1e-14 * sim.t_max)
+            np.testing.assert_allclose(action.torque, torque, rtol=0.0, atol=1e-14 * sim.l_max)
+            thrust_clipped += np.any(np.abs(thrust) == sim.t_max)
+            torque_clipped += np.any(np.abs(torque) == sim.l_max)
+        assert thrust_clipped > 0 and torque_clipped > 0  # both clips are exercised
 
 
 class TestChatter:
@@ -163,6 +198,13 @@ class TestClosedLoop:
                 np.testing.assert_array_equal(ra.action.torque, rb.action.torque)
                 np.testing.assert_array_equal(ra.state.r, rb.state.r)
                 assert ra.dt == rb.dt
+
+    def test_regenerated_ndjson_is_byte_identical(self, tmp_path):
+        paths = [tmp_path / "a.ndjson", tmp_path / "b.ndjson"]
+        for path in paths:
+            write_episodes(path, generate_demos(5, InitMode.RANDOM, 7, ExpertConfig(),
+                                                SimConfig()))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_distinct_seeds_differ(self, demos):
         other = generate_demos(1, InitMode.SAME, 1, ExpertConfig(), SimConfig())[0]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from actdock.policy import (
-    Chunk,
     PolicyConfig,
     embed_observation,
     encode_style,
@@ -272,18 +271,17 @@ class TestPredictChunk:
 
 
 class TestInferChunk:
-    def test_returns_masked_chunk(self, cfg, params):
+    def test_returns_action_array(self, cfg, params):
         images, states = obs_batch(cfg, bsz=1)
         chunk = infer_chunk(images[0], states[0], params, cfg)
-        assert isinstance(chunk, Chunk)
-        assert chunk.actions.shape == (cfg.k, cfg.d_action)
-        assert chunk.mask.all()
+        assert isinstance(chunk, np.ndarray)
+        assert chunk.shape == (cfg.k, cfg.d_action)
 
     def test_deterministic(self, cfg, params):
         images, states = obs_batch(cfg, bsz=1)
         a = infer_chunk(images[0], states[0], params, cfg)
         b = infer_chunk(images[0], states[0], params, cfg)
-        assert np.array_equal(a.actions, b.actions)
+        assert np.array_equal(a, b)
 
     def test_no_graph_and_same_actions_as_grad_mode(self, cfg, params, monkeypatch):
         images, states = obs_batch(cfg, bsz=1)
@@ -303,10 +301,4 @@ class TestInferChunk:
         tokens = embed_observation(images, states, params, cfg)
         grad_mode = real(tokens, np.zeros((1, cfg.d_z)), params, cfg)
         assert grad_mode.requires_grad
-        assert np.array_equal(chunk.actions, grad_mode.data[0])
-
-    def test_chunk_validation(self):
-        with pytest.raises(ValueError):
-            Chunk(actions=np.zeros((3, 6)), mask=np.ones(2, dtype=bool))
-        with pytest.raises(ValueError):
-            Chunk(actions=np.zeros(6), mask=np.ones(1, dtype=bool))
+        assert np.array_equal(chunk, grad_mode.data[0])

@@ -444,6 +444,47 @@ class TestParameterSet:
         for name, t in ps.items():
             assert np.array_equal(twin[name].data, t.data)
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        ps = self.make()
+        ps["w"].grad = np.ones((2, 2))
+        ps.adam_step()
+        path = tmp_path / "ck.bin"
+        ps.save(path, meta={"iteration": 1})
+        before = path.read_bytes()
+        w_saved = ps["w"].data.copy()
+
+        class FailingWriter:
+            """Writes the first chunk through, then fails like a full disk."""
+
+            def __init__(self, f):
+                self.f, self.calls = f, 0
+
+            def write(self, data):
+                self.calls += 1
+                if self.calls > 1:
+                    raise OSError("No space left on device")
+                return self.f.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(T, "open",
+                            lambda *a, **k: FailingWriter(open(*a, **k)), raising=False)
+        ps["w"].grad = np.ones((2, 2))
+        ps.adam_step()
+        with pytest.raises(OSError):
+            ps.save(path, meta={"iteration": 2})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+        again, meta = ParameterSet.load(path)
+        assert meta == {"iteration": 1} and again.step_count == 1
+        assert again["w"].data.tobytes() == w_saved.tobytes()
+        assert not np.array_equal(ps["w"].data, w_saved)
+
     def test_load_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"\x00" * 4)
