@@ -16,12 +16,10 @@ import numpy as np
 from . import dataio, stats
 from .config import (
     ConfigError,
+    checkpoint_section,
     default_run_config,
     load_run_config,
     section_dict,
-    camera_from_dict,
-    marker_from_dict,
-    sim_from_dict,
 )
 from .dynamics import InitMode
 from .evaluate import ActController, heatmap, run_episodes, terminal_report, smoothness
@@ -97,9 +95,11 @@ def _controller_for(args, cfg):
             raise ConfigError("--checkpoint is required for --policy act")
         params, policy_cfg, meta = load_policy(args.checkpoint)
         decay = meta.get("ensemble_decay", cfg.eval.ensemble_decay)
-        sim = sim_from_dict(meta["sim"]) if "sim" in meta else cfg.sim
-        cam = camera_from_dict(meta["camera"]) if "camera" in meta else cfg.camera
-        marker = marker_from_dict(meta["marker"]) if "marker" in meta else cfg.marker
+        sim, cam, marker = (
+            checkpoint_section(args.checkpoint, meta, key, type(getattr(cfg, key)))
+            if key in meta else getattr(cfg, key)
+            for key in ("sim", "camera", "marker")
+        )
         return ActController(params, policy_cfg, decay=decay), sim, cam, marker
     chatter = args.policy == "chatter"
     return (ExpertController(cfg.expert, cfg.sim, chatter=chatter),

@@ -180,16 +180,17 @@ def section_dict(obj) -> dict:
     return out
 
 
-def sim_from_dict(d: dict) -> SimConfig:
-    d = dict(d)
-    if "inertia" in d:
-        d["inertia"] = np.asarray(d["inertia"], dtype=np.float64)
-    return SimConfig(**d)
-
-
-def camera_from_dict(d: dict) -> CameraModel:
-    return CameraModel(**d)
-
-
-def marker_from_dict(d: dict) -> MarkerGeometry:
-    return MarkerGeometry(**d)
+def checkpoint_section(path, meta: dict, key: str, cls):
+    """Checkpoint meta section `key` read like a run-config section into a
+    validated `cls`; errors name the checkpoint and the field."""
+    if key not in meta:
+        raise ConfigError(f"checkpoint {path} carries no {key} metadata")
+    obj = cls()
+    try:
+        if not isinstance(meta[key], dict):
+            raise ConfigError(f"'{key}' must be a JSON object")
+        _apply_section(obj, meta[key], key)
+        obj.validate()
+    except ValueError as err:
+        raise ConfigError(f"checkpoint {path}: {err}") from None
+    return obj

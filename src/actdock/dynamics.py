@@ -165,37 +165,21 @@ class SimConfig:
             raise ValueError(f"sim.dock_radius must be positive, got {self.dock_radius}")
 
 
-# --- quaternion helpers (scalar first, Hamilton product) ---
+# --- attitude (scalar-first unit quaternion, body -> LVLH) ---
 
 
-def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
+def rotation(qw: float, qx: float, qy: float, qz: float) -> tuple[float, ...]:
+    """Row-major entries of R(q), the body -> LVLH rotation of unit quaternion q."""
+    return (
+        1 - 2 * (qy * qy + qz * qz), 2 * (qx * qy - qw * qz), 2 * (qx * qz + qw * qy),
+        2 * (qx * qy + qw * qz), 1 - 2 * (qx * qx + qz * qz), 2 * (qy * qz - qw * qx),
+        2 * (qx * qz - qw * qy), 2 * (qy * qz + qw * qx), 1 - 2 * (qx * qx + qy * qy),
     )
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix applying the body->LVLH rotation of unit quaternion q."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate body-frame vector v into LVLH."""
-    return quat_to_matrix(q) @ v
+    """R(q) as a 3x3 array."""
+    return np.array(rotation(*q.tolist())).reshape(3, 3)
 
 
 def quat_rotate_inv(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -225,11 +209,6 @@ def look_at_port(r: np.ndarray) -> np.ndarray:
     return np.concatenate([[math.cos(half)], u * math.sin(half)])
 
 
-def boresight(state: ChaserState) -> np.ndarray:
-    """Camera boresight direction (body +z) expressed in LVLH."""
-    return quat_to_matrix(state.q)[:, 2]
-
-
 # --- propagation ---
 
 
@@ -243,14 +222,10 @@ def _deriv(y, thrust, torque, n: float, mass: float, inertia, inertia_inv) -> li
     tx, ty, tz = thrust
     lx, ly, lz = torque
     qn = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    a, b, c, d = qw / qn, qx / qn, qy / qn, qz / qn
-    # f_lvlh = R(q) @ thrust, R as in quat_to_matrix
-    fx = ((1 - 2 * (c * c + d * d)) * tx + 2 * (b * c - a * d) * ty
-          + 2 * (b * d + a * c) * tz)
-    fy = (2 * (b * c + a * d) * tx + (1 - 2 * (b * b + d * d)) * ty
-          + 2 * (c * d - a * b) * tz)
-    fz = (2 * (b * d - a * c) * tx + 2 * (c * d + a * b) * ty
-          + (1 - 2 * (b * b + c * c)) * tz)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation(qw / qn, qx / qn, qy / qn, qz / qn)
+    fx = r00 * tx + r01 * ty + r02 * tz  # f_lvlh = R(q) @ thrust
+    fy = r10 * tx + r11 * ty + r12 * tz
+    fz = r20 * tx + r21 * ty + r22 * tz
     # Euler: I^-1 @ (torque - w x (I @ w))
     i00, i01, i02, i10, i11, i12, i20, i21, i22 = inertia
     hx = i00 * wx + i01 * wy + i02 * wz
@@ -279,18 +254,11 @@ def _deriv(y, thrust, torque, n: float, mass: float, inertia, inertia_inv) -> li
 
 
 @functools.lru_cache(maxsize=8)
-def _inertia_inverse(inertia_bytes: bytes) -> np.ndarray:
-    """inv(inertia) keyed by the matrix's float64 bytes; read-only, as it is shared."""
-    inv = np.linalg.inv(np.frombuffer(inertia_bytes).reshape(3, 3))
-    inv.setflags(write=False)
-    return inv
-
-
-@functools.lru_cache(maxsize=8)
 def _inertia_terms(inertia_bytes: bytes) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(inertia, inv(inertia)) as row-major 9-tuples of floats."""
-    inertia = tuple(np.frombuffer(inertia_bytes).tolist())
-    return inertia, tuple(_inertia_inverse(inertia_bytes).ravel().tolist())
+    """(inertia, inv(inertia)) as row-major 9-tuples of floats, keyed by the
+    matrix's float64 bytes."""
+    inertia = np.frombuffer(inertia_bytes).reshape(3, 3)
+    return tuple(inertia.ravel().tolist()), tuple(np.linalg.inv(inertia).ravel().tolist())
 
 
 def step(state: ChaserState, action: Action, dt: float, cfg: SimConfig) -> ChaserState:

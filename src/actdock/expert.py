@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    Action,
-    ChaserState,
-    InitMode,
-    SimConfig,
-)
+from .dynamics import Action, ChaserState, InitMode, SimConfig, rotation
 from .evaluate import Episode, rollout
 
 
@@ -69,10 +64,8 @@ def expert_action(state: ChaserState, cfg: ExpertConfig, sim: SimConfig) -> Acti
     fx = m * (kp * -rx + kd * (vdx - vx))
     fy = m * (kp * -ry + kd * (vdy - vy))
     fz = m * (kp * -rz + kd * (vdz - vz))
-    # Rows of R(q)^T, the LVLH -> body rotation, with R as in quat_to_matrix.
-    r00, r01, r02 = 1 - 2 * (qy * qy + qz * qz), 2 * (qx * qy + qw * qz), 2 * (qx * qz - qw * qy)
-    r10, r11, r12 = 2 * (qx * qy - qw * qz), 1 - 2 * (qx * qx + qz * qz), 2 * (qy * qz + qw * qx)
-    r20, r21, r22 = 2 * (qx * qz + qw * qy), 2 * (qy * qz - qw * qx), 1 - 2 * (qx * qx + qy * qy)
+    # R(q)^T, the LVLH -> body rotation, unpacked row-major
+    r00, r10, r20, r01, r11, r21, r02, r12, r22 = rotation(qw, qx, qy, qz)
     t_max = sim.t_max
     thrust = [min(max(t, -t_max), t_max) for t in (r00 * fx + r01 * fy + r02 * fz,
                                                    r10 * fx + r11 * fy + r12 * fz,

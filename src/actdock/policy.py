@@ -187,6 +187,32 @@ def init_params(cfg: PolicyConfig, seed: int = 0) -> ParameterSet:
     cfg.validate()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x9077))))
     ps = ParameterSet()
+    _add_params(ps, rng, cfg)
+    return ps
+
+
+class _Shapes(dict):
+    """Stands in for both the ParameterSet and the generator: records shapes and
+    draws nothing, so checking a checkpoint costs no second initialization."""
+
+    def add(self, name, values):
+        self[name] = np.shape(values)
+
+    def uniform(self, low, high, size):
+        return np.broadcast_to(0.0, size)
+
+    def standard_normal(self, size):
+        return np.broadcast_to(0.0, size)
+
+
+def param_shapes(cfg: PolicyConfig) -> dict[str, tuple]:
+    """Name -> shape of every parameter that init_params(cfg) creates."""
+    shapes = _Shapes()
+    _add_params(shapes, shapes, cfg)
+    return shapes
+
+
+def _add_params(ps, rng, cfg: PolicyConfig) -> None:
     d = cfg.d_model
 
     cin = 1
@@ -222,7 +248,6 @@ def init_params(cfg: PolicyConfig, seed: int = 0) -> ParameterSet:
         _add_decoder_layer(ps, rng, f"dec.layers.{i}", cfg)
     _add_layernorm(ps, "dec.ln", d)
     _add_linear(ps, rng, "head", d, cfg.d_action)
-    return ps
 
 
 # --- transformer blocks ---

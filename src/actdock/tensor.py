@@ -618,20 +618,22 @@ class ParameterSet:
     def load(cls, path) -> tuple["ParameterSet", dict]:
         with open(path, "rb") as f:
             raw = f.read()
-        if len(raw) < 8:
-            raise ValueError(f"checkpoint {path} is truncated")
-        (hlen,) = struct.unpack("<Q", raw[:8])
+        hlen = int.from_bytes(raw[:8], "little")
+        if len(raw) < 8 + hlen:
+            raise ValueError(f"checkpoint {path} is truncated inside its header")
         header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
         if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint format_version {header.get('format_version')!r}"
-            )
+            raise ValueError(f"checkpoint {path}: unsupported format_version "
+                             f"{header.get('format_version')!r}")
         payload = raw[8 + hlen :]
         ps = cls()
         for e in header["tensors"]:
             shape = tuple(e["shape"])
             count = int(np.prod(shape)) if shape else 1
             start = e["offset"]
+            if start + 8 * count > len(payload):
+                raise ValueError(f"checkpoint {path}: tensor {e['name']!r} ({e['kind']}) runs "
+                                 f"past the end of the {len(payload)}-byte payload (truncated?)")
             arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
             arr = arr.reshape(shape).astype(np.float64)
             if e["kind"] == "param":

@@ -22,6 +22,7 @@ from .policy import (
     embed_observation,
     encode_style,
     init_params,
+    param_shapes,
     predict_chunk,
 )
 from .render import CameraModel, MarkerGeometry, render
@@ -218,14 +219,22 @@ def train(demos: list[Episode], policy_cfg: PolicyConfig, train_cfg: TrainConfig
 
 
 def load_policy(path) -> tuple[ParameterSet, PolicyConfig, dict]:
-    """Load a checkpoint back into (parameters, policy config, full meta)."""
+    """Load a checkpoint back into (parameters, policy config, full meta).
+
+    The embedded policy_config is validated like a run-config section, and the
+    parameter names and shapes must be exactly the ones it builds."""
+    from .config import checkpoint_section  # deferred: config imports this module
+
     params, meta = ParameterSet.load(path)
-    if "policy_config" not in meta:
-        raise ValueError(f"checkpoint {path} carries no policy_config metadata")
-    cfg_dict = dict(meta["policy_config"])
-    cfg_dict["backbone_channels"] = tuple(cfg_dict["backbone_channels"])
-    cfg_dict["action_scale"] = tuple(cfg_dict["action_scale"])
-    return params, PolicyConfig(**cfg_dict), meta
+    cfg = checkpoint_section(path, meta, "policy_config", PolicyConfig)
+    expected = param_shapes(cfg)
+    found = {name: t.shape for name, t in params.items()}
+    for name in [*expected, *found]:
+        if found.get(name) != expected.get(name):
+            raise ValueError(f"checkpoint {path}: parameter {name!r}: file has "
+                             f"{found.get(name, 'no tensor')}, policy_config expects "
+                             f"{expected.get(name, 'no tensor')}")
+    return params, cfg, meta
 
 
 def write_loss_curve(path, curve) -> None:

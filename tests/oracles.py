@@ -83,19 +83,30 @@ def rigid_cw_deriv(t, y, n, mass, inertia, thrust_body, torque_body):
     return np.concatenate([v, acc, dq, dw])
 
 
-def spin_quaternion(q0, axis, rate, t):
-    """Exact attitude for a constant principal-axis spin: q0 (x) axis-angle."""
-    axis = np.asarray(axis, float)
-    axis = axis / np.linalg.norm(axis)
-    half = 0.5 * rate * t
-    dq = np.concatenate([[np.cos(half)], np.sin(half) * axis])
-    a, b = q0, dq
+def hamilton_product(a, b):
+    """Scalar-first Hamilton product a (x) b."""
     return np.array([
         a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
         a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
         a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
         a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0],
     ])
+
+
+def spin_quaternion(q0, axis, rate, t):
+    """Exact attitude for a constant principal-axis spin: q0 (x) axis-angle."""
+    axis = np.asarray(axis, float)
+    axis = axis / np.linalg.norm(axis)
+    half = 0.5 * rate * t
+    dq = np.concatenate([[np.cos(half)], np.sin(half) * axis])
+    return hamilton_product(q0, dq)
+
+
+def rotate_by_quaternion(q, v):
+    """v rotated by unit quaternion q as the sandwich q (x) (0, v) (x) q*,
+    without forming a rotation matrix."""
+    conj = np.array([q[0], -q[1], -q[2], -q[3]])
+    return hamilton_product(hamilton_product(q, np.concatenate([[0.0], v])), conj)[1:]
 
 
 # --- brute-force layers ---

@@ -113,6 +113,7 @@ def test_criterion_1_welch_summary():
     ]
 
 
+@pytest.mark.slow
 @criterion(2, "temporal-ensembling weight and convex-hull fidelity")
 def test_criterion_2_ensembling_fidelity(pipeline):
     # Hand example, m=1, predictions {1, 2, 3} oldest-to-newest by age.
@@ -243,6 +244,7 @@ def test_criterion_4_gradcheck():
     ]
 
 
+@pytest.mark.slow
 @criterion(5, "behavioral cloning overfits 5 demonstrations")
 def test_criterion_5_overfit():
     cfg = default_run_config()
@@ -264,6 +266,7 @@ def test_criterion_5_overfit():
     ]
 
 
+@pytest.mark.slow
 @criterion(6, "cloned policy docks and beats the chatter baseline")
 def test_criterion_6_end_to_end(pipeline):
     demos = pipeline["demos"]

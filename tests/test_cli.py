@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -7,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+import actdock
 from actdock import dataio
 from actdock.cli import main
+from actdock.tensor import ParameterSet
 from actdock.training import load_policy
 
 TINY_CONFIG = {
@@ -171,6 +174,33 @@ class TestExitCodes:
         assert err.startswith("error: diverged at iteration")
         assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("probe, field", [
+        ("unknown-key", "policy_config.bogus"),
+        ("negative-mass", "sim.mass"),
+        ("missing-tensor", "head.w"),
+        ("truncated-payload", "'head.b' (adam_v)"),
+    ])
+    def test_bad_checkpoint_reported(self, workdir, tmp_path, capsys, probe, field):
+        params, meta = ParameterSet.load(workdir / "policy.npz")
+        if probe == "unknown-key":
+            meta["policy_config"]["bogus"] = 1
+        elif probe == "negative-mass":
+            meta["sim"]["mass"] = -5.0
+        elif probe == "missing-tensor":
+            kept = ParameterSet()
+            for name, t in params.items():
+                if name != "head.w":
+                    kept.add(name, t.data)
+            params = kept
+        path = tmp_path / "bad.ckpt"
+        params.save(path, meta=meta)
+        if probe == "truncated-payload":  # cuts into the last tensor written
+            path.write_bytes(path.read_bytes()[:-8])
+        assert main(["eval", "--policy", "act", "--checkpoint", str(path), "--n", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and field in err
+
     def test_usage_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["demos"])  # --out is required
@@ -190,7 +220,11 @@ def test_console_script_installed():
 
 
 def test_module_entry_point():
+    # the child finds actdock where this process did, installed or not
+    src = os.path.dirname(os.path.dirname(actdock.__file__))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run([sys.executable, "-m", "actdock.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "stats" in proc.stdout

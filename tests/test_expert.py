@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from actdock.dataio import write_episodes
-from actdock.dynamics import Action, ChaserState, InitMode, SimConfig, quat_to_matrix
+from actdock.dynamics import Action, ChaserState, InitMode, SimConfig
 from actdock.evaluate import rollout, smoothness
 from actdock.expert import (
     ExpertConfig,
@@ -13,6 +13,7 @@ from actdock.expert import (
 )
 
 from conftest import make_state
+from oracles import rotate_by_quaternion
 
 
 class TestExpertAction:
@@ -73,15 +74,17 @@ class TestExpertAction:
 
 
 def vector_expert_action(state, cfg, sim):
-    """The expert law in numpy vector form: projections, 3x3 mat-vecs, np.cross."""
+    """The expert law in numpy vector form: projections, np.cross, and LVLH -> body
+    rotations by the conjugate quaternion through the Hamilton-sandwich oracle."""
     axis = np.array([0.0, 1.0, 0.0])
     r_par = (state.r @ axis) * axis
     v_des = -cfg.v_profile * r_par - cfg.v_lateral * (state.r - r_par)
     thrust_lvlh = sim.mass * (cfg.kp_pos * (-state.r) + cfg.kd_pos * (v_des - state.v))
-    rot_t = quat_to_matrix(state.q).T
-    thrust = np.clip(rot_t @ thrust_lvlh, -sim.t_max, sim.t_max)
+    q_inv = state.q * np.array([1.0, -1.0, -1.0, -1.0])
+    thrust = np.clip(rotate_by_quaternion(q_inv, thrust_lvlh), -sim.t_max, sim.t_max)
     rn = np.linalg.norm(state.r)
-    att_err = np.cross([0.0, 0.0, 1.0], rot_t @ (-state.r / rn)) if rn > 1e-9 else np.zeros(3)
+    att_err = (np.cross([0.0, 0.0, 1.0], rotate_by_quaternion(q_inv, -state.r / rn))
+               if rn > 1e-9 else np.zeros(3))
     torque = np.clip(cfg.kp_att * att_err - cfg.kd_att * state.w, -sim.l_max, sim.l_max)
     return thrust, torque
 

@@ -8,6 +8,7 @@ from actdock.policy import (
     image_feature_tokens,
     infer_chunk,
     init_params,
+    param_shapes,
     predict_chunk,
     sinusoidal_pos_1d,
     sinusoidal_pos_2d,
@@ -109,6 +110,11 @@ class TestInitParams:
         a = init_params(cfg, seed=0)
         b = init_params(cfg, seed=1)
         assert any(not np.array_equal(t.data, b[name].data) for name, t in a.items())
+
+    def test_param_shapes_match_init(self, cfg):
+        for c in (cfg, PolicyConfig()):
+            shapes = param_shapes(c)
+            assert list(shapes.items()) == [(n, t.shape) for n, t in init_params(c).items()]
 
     def test_layer_norms_start_as_identity(self, params):
         assert np.array_equal(params["enc.ln.g"].data, np.ones(32))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -221,6 +222,19 @@ class TestTrainLoop:
         path = tmp_path / "bare.npz"
         params.save(path, meta={"iteration": 0})
         with pytest.raises(ValueError, match="policy_config"):
+            load_policy(path)
+
+    def test_parameter_shapes_checked_against_policy_config(self, tmp_path):
+        cfg = tiny_policy_config()
+        path = tmp_path / "wide.ckpt"
+        init_params(cfg, seed=0).save(path, meta={"policy_config": asdict(cfg)})
+        load_policy(path)
+        wider = asdict(cfg)
+        wider["d_ff"] = 2 * cfg.d_ff
+        init_params(cfg, seed=0).save(path, meta={"policy_config": wider})
+        expect = (r"wide\.ckpt: parameter '.*ff1\.w': file has \(32, 32\), "
+                  r"policy_config expects \(32, 64\)")
+        with pytest.raises(ValueError, match=expect):
             load_policy(path)
 
     def test_divergence_reported_with_iteration(self):
