@@ -16,6 +16,7 @@ import numpy as np
 from . import dataio, stats
 from .config import (
     ConfigError,
+    EvalConfig,
     checkpoint_section,
     default_run_config,
     load_run_config,
@@ -94,7 +95,11 @@ def _controller_for(args, cfg):
         if not args.checkpoint:
             raise ConfigError("--checkpoint is required for --policy act")
         params, policy_cfg, meta = load_policy(args.checkpoint)
-        decay = meta.get("ensemble_decay", cfg.eval.ensemble_decay)
+        decay = cfg.eval.ensemble_decay
+        if "ensemble_decay" in meta:
+            decay = checkpoint_section(args.checkpoint,
+                                       {"eval": {"ensemble_decay": meta["ensemble_decay"]}},
+                                       "eval", EvalConfig).ensemble_decay
         sim, cam, marker = (
             checkpoint_section(args.checkpoint, meta, key, type(getattr(cfg, key)))
             if key in meta else getattr(cfg, key)

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import InitMode, SimConfig
+from .dynamics import SimConfig
 from .evaluate import GridSpec
 from .expert import ExpertConfig
 from .policy import PolicyConfig
@@ -42,9 +42,6 @@ class EvalConfig:
             raise ValueError(f"eval.ensemble_decay must be >= 0, got {self.ensemble_decay}")
         if not self.success_radii or any(r <= 0 for r in self.success_radii):
             raise ValueError("eval.success_radii must be positive")
-
-    def init_mode(self) -> InitMode:
-        return InitMode(self.mode)
 
 
 @dataclass
@@ -89,32 +86,40 @@ def _apply_section(obj, data: dict, section: str) -> None:
     for key, raw in data.items():
         if key not in valid:
             raise ConfigError(f"unknown key '{section}.{key}'")
-        current = getattr(obj, key)
         try:
-            if isinstance(current, np.ndarray):
-                arr = np.asarray(raw, dtype=np.float64)
-                if arr.shape == (3,):  # diagonal shorthand for the inertia tensor
-                    arr = np.diag(arr)
-                value = arr
-            elif isinstance(current, bool):
-                if not isinstance(raw, bool):
-                    raise ValueError("expected true/false")
-                value = raw
-            elif isinstance(current, int):
-                if isinstance(raw, bool) or int(raw) != raw:
-                    raise ValueError("expected an integer")
-                value = int(raw)
-            elif isinstance(current, float):
-                value = float(raw)
-            elif isinstance(current, tuple):
-                value = tuple(raw)
-            elif isinstance(current, str):
-                value = str(raw)
-            else:
-                value = raw
+            value = _coerce(getattr(obj, key), raw)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad value for '{section}.{key}': {err}") from None
         setattr(obj, key, value)
+
+
+def _coerce(current, raw):
+    """`raw` as the type of the field's current value; a tuple's elements take
+    the type of the current first element."""
+    if isinstance(current, np.ndarray):
+        arr = np.asarray(raw, dtype=np.float64)
+        if arr.shape == (3,):  # diagonal shorthand for the inertia tensor
+            arr = np.diag(arr)
+        return arr
+    if isinstance(current, bool):
+        if not isinstance(raw, bool):
+            raise ValueError("expected true/false")
+        return raw
+    if isinstance(current, int):
+        if isinstance(raw, bool) or int(raw) != raw:
+            raise ValueError("expected an integer")
+        return int(raw)
+    if isinstance(current, float):
+        if isinstance(raw, (bool, str)):
+            raise ValueError("expected a number")
+        return float(raw)
+    if isinstance(current, tuple):
+        if not isinstance(raw, (list, tuple)):
+            raise ValueError("expected a list")
+        return tuple(_coerce(current[0], x) for x in raw)
+    if isinstance(current, str):
+        return str(raw)
+    return raw
 
 
 def load_run_config(source) -> RunConfig:

@@ -114,13 +114,13 @@ def rollout(controller, mode: InitMode, seed: int, sim: SimConfig,
     ep = Episode(
         episode_id=episode_index,
         seed=seed,
-        policy=getattr(controller, "name", "unknown"),
+        policy=controller.name,
         records=records,
         final_state=state,
         failed=failed,
         diagnostic=diagnostic,
     )
-    if getattr(controller, "trace", None) is not None:
+    if controller.trace is not None:
         ep.chunk_trace = controller.trace
     return ep
 

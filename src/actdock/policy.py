@@ -1,6 +1,6 @@
 """Chunked transformer docking policy with a CVAE style encoder.
 
-An observation (camera images + 13-dim chaser state) is tokenized by a small
+An observation (one camera image + 13-dim chaser state) is tokenized by a small
 non-overlapping convolutional backbone plus a linear state projection. A
 transformer encoder self-attends over [image tokens, state token, z token];
 a decoder turns k learned queries into a chunk of k future actions, squashed
@@ -12,7 +12,8 @@ inference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,19 +36,14 @@ class PolicyConfig:
     n_layers_vae: int = 2
     d_ff: int = 128
     d_z: int = 32  # style latent width
-    d_state: int = 13
-    d_action: int = 6
     image_height: int = 24
     image_width: int = 32
-    n_cameras: int = 1
     backbone_channels: tuple = (8, 16, 32)
     # per-component action bounds used for tanh scaling (thrust N, torque N*m)
     action_scale: tuple = (15.0, 15.0, 15.0, 1.0, 1.0, 1.0)
-    # tanh range multiplier: demonstrations saturate at exactly the actuator
-    # bound, which a tanh scaled to that bound can only approach asymptotically;
-    # a little headroom makes saturated targets reachable at finite
-    # preactivation. Inference clips the final chunk back to the exact bounds.
-    action_headroom: float = 1.25
+    # fixed by the simulator: state [r, v, q, w], action [thrust, torque]
+    d_state: ClassVar[int] = 13
+    d_action: ClassVar[int] = 6
 
     def validate(self) -> None:
         if self.k < 1:
@@ -58,8 +54,7 @@ class PolicyConfig:
             )
         if self.d_model % 4 != 0:
             raise ValueError(f"policy.d_model must be a multiple of 4, got {self.d_model}")
-        for name in ("n_layers_enc", "n_layers_dec", "n_layers_vae", "d_ff", "d_z",
-                     "d_state", "d_action", "n_cameras"):
+        for name in ("n_layers_enc", "n_layers_dec", "n_layers_vae", "d_ff", "d_z"):
             if getattr(self, name) < 1:
                 raise ValueError(f"policy.{name} must be >= 1, got {getattr(self, name)}")
         factor = 2 ** len(self.backbone_channels)
@@ -71,10 +66,6 @@ class PolicyConfig:
             raise ValueError("policy.action_scale length must equal d_action")
         if any(s <= 0 for s in self.action_scale):
             raise ValueError("policy.action_scale entries must be positive")
-        if self.action_headroom < 1.0:
-            raise ValueError(
-                f"policy.action_headroom must be >= 1, got {self.action_headroom}"
-            )
 
     @property
     def feat_height(self) -> int:
@@ -83,15 +74,6 @@ class PolicyConfig:
     @property
     def feat_width(self) -> int:
         return self.image_width // 2 ** len(self.backbone_channels)
-
-    @property
-    def n_obs_tokens(self) -> int:
-        return self.n_cameras * self.feat_height * self.feat_width + 1
-
-    def state_scale(self) -> np.ndarray:
-        if self.d_state == 13:
-            return STATE_SCALE_13
-        return np.ones(self.d_state)
 
     def action_scale_vec(self) -> np.ndarray:
         return np.asarray(self.action_scale, dtype=np.float64)
@@ -303,27 +285,22 @@ def _conv(x: Tensor, ps: ParameterSet, name: str) -> Tensor:
 
 
 def image_feature_tokens(images: np.ndarray, ps: ParameterSet, cfg: PolicyConfig) -> Tensor:
-    """Backbone features as (B, n_cameras*fh*fw, d_model) tokens, before any
-    positional encoding, ordered row-major over the feature grid. Tokens are
-    local: each sees exactly one aligned 2^len(channels)-pixel square patch.
+    """Backbone features of (B, 1, H, W) images as (B, fh*fw, d_model) tokens,
+    before any positional encoding, ordered row-major over the feature grid.
+    Tokens are local: each sees exactly one aligned 2^len(channels)-pixel
+    square patch.
 
     The backbone runs channels-last: each 2x2/stride-2 convolution is a
     patchify followed by a linear map, each 1x1 convolution a linear map."""
     images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4 or images.shape[1] != cfg.n_cameras:
-        raise ValueError(
-            f"images must have shape (B, {cfg.n_cameras}, H, W), got {images.shape}"
-        )
-    bsz = images.shape[0]
-    cam_tokens = []
-    for ci in range(cfg.n_cameras):
-        x = Tensor(images[:, ci, :, :, None])
-        for bi in range(len(cfg.backbone_channels)):
-            x = T.gelu(_conv(_patchify(x), ps, f"backbone.b{bi}.down"))
-            x = T.gelu(T.add(x, _conv(x, ps, f"backbone.b{bi}.res")))
-        x = _conv(x, ps, "backbone.proj")
-        cam_tokens.append(T.reshape(x, (bsz, cfg.feat_height * cfg.feat_width, cfg.d_model)))
-    return cam_tokens[0] if len(cam_tokens) == 1 else T.concat(cam_tokens, axis=1)
+    if images.ndim != 4 or images.shape[1] != 1:
+        raise ValueError(f"images must have shape (B, 1, H, W), got {images.shape}")
+    x = Tensor(images[:, 0, :, :, None])
+    for bi in range(len(cfg.backbone_channels)):
+        x = T.gelu(_conv(_patchify(x), ps, f"backbone.b{bi}.down"))
+        x = T.gelu(T.add(x, _conv(x, ps, f"backbone.b{bi}.res")))
+    x = _conv(x, ps, "backbone.proj")
+    return T.reshape(x, (images.shape[0], cfg.feat_height * cfg.feat_width, cfg.d_model))
 
 
 def embed_observation(images: np.ndarray, state: np.ndarray, ps: ParameterSet,
@@ -331,8 +308,6 @@ def embed_observation(images: np.ndarray, state: np.ndarray, ps: ParameterSet,
     """Tokenize one observation batch: [image tokens ..., state token]."""
     feats = image_feature_tokens(images, ps, cfg)
     pe = sinusoidal_pos_2d(cfg.feat_height, cfg.feat_width, cfg.d_model)
-    if cfg.n_cameras > 1:
-        pe = np.tile(pe, (cfg.n_cameras, 1))
     img_tokens = T.add(feats, Tensor(pe))
 
     state = np.asarray(state, dtype=np.float64)
@@ -340,7 +315,7 @@ def embed_observation(images: np.ndarray, state: np.ndarray, ps: ParameterSet,
         state = state[None, :]
     if state.shape != (images.shape[0], cfg.d_state):
         raise ValueError(f"state must have shape (B, {cfg.d_state}), got {state.shape}")
-    st = T.linear(Tensor(state / cfg.state_scale()), ps["embed.state.w"], ps["embed.state.b"])
+    st = T.linear(Tensor(state / STATE_SCALE_13), ps["embed.state.w"], ps["embed.state.b"])
     st = T.add(st, ps["embed.state.pos"])
     st = T.reshape(st, (state.shape[0], 1, cfg.d_model))
     return T.concat([img_tokens, st], axis=1)
@@ -368,7 +343,7 @@ def encode_style(state: np.ndarray, actions: np.ndarray, ps: ParameterSet,
         )
     d = cfg.d_model
     cls = T.add(Tensor(np.zeros((bsz, 1, d))), T.reshape(ps["vae.cls"], (1, d)))
-    st = T.linear(Tensor(state / cfg.state_scale()), ps["vae.state.w"], ps["vae.state.b"])
+    st = T.linear(Tensor(state / STATE_SCALE_13), ps["vae.state.w"], ps["vae.state.b"])
     st = T.reshape(st, (bsz, 1, d))
     act = T.linear(Tensor(actions / cfg.action_scale_vec()), ps["vae.action.w"],
                    ps["vae.action.b"])

@@ -126,15 +126,6 @@ class DemoDataset:
         return target, mask
 
 
-def sample_chunk(dataset: DemoDataset, rng: np.random.Generator,
-                 k: int) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Uniform draw over all (episode, step) pairs; returns
-    (episode index, step, target chunk, mask)."""
-    ep_index, t = dataset.entry(int(rng.integers(0, len(dataset))))
-    target, mask = dataset.chunk_targets(ep_index, t, k)
-    return ep_index, t, target, mask
-
-
 # --- training loop ---
 
 
@@ -162,7 +153,12 @@ def train(demos: list[Episode], policy_cfg: PolicyConfig, train_cfg: TrainConfig
     train_cfg.validate()
     dataset = DemoDataset(demos)
     if resume_from is not None:
-        params, meta = ParameterSet.load(resume_from)
+        params, saved_cfg, meta = load_policy(resume_from)
+        ours, theirs = asdict(policy_cfg), asdict(saved_cfg)
+        differ = [name for name in ours if ours[name] != theirs[name]]
+        if differ:
+            raise ValueError(f"checkpoint {resume_from}: policy_config differs from "
+                             f"the run's in {', '.join(differ)}")
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = meta["rng_state"]
         start = int(meta["iteration"])

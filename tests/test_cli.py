@@ -179,6 +179,8 @@ class TestExitCodes:
         ("negative-mass", "sim.mass"),
         ("missing-tensor", "head.w"),
         ("truncated-payload", "'head.b' (adam_v)"),
+        ("decay-not-number", "eval.ensemble_decay"),
+        ("negative-decay", "eval.ensemble_decay"),
     ])
     def test_bad_checkpoint_reported(self, workdir, tmp_path, capsys, probe, field):
         params, meta = ParameterSet.load(workdir / "policy.npz")
@@ -186,6 +188,10 @@ class TestExitCodes:
             meta["policy_config"]["bogus"] = 1
         elif probe == "negative-mass":
             meta["sim"]["mass"] = -5.0
+        elif probe == "decay-not-number":
+            meta["ensemble_decay"] = "abc"
+        elif probe == "negative-decay":
+            meta["ensemble_decay"] = -1.0
         elif probe == "missing-tensor":
             kept = ParameterSet()
             for name, t in params.items():
@@ -200,6 +206,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err and field in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_cameras", 2), ("d_state", 12), ("d_action", 6), ("action_headroom", 7.0),
+    ])
+    def test_removed_policy_keys_rejected(self, workdir, tmp_path, capsys, key, value):
+        cfg = dict(TINY_CONFIG, policy=dict(TINY_CONFIG["policy"], **{key: value}))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "p.ckpt"
+        assert main(["train", "--demos", str(workdir / "demos.ndjson"),
+                     "--out", str(out), "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: unknown key 'policy.{key}'\n"
+        assert not out.exists()
 
     def test_usage_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,6 @@ from actdock.config import (
     load_run_config,
     section_dict,
 )
-from actdock.dynamics import InitMode
 
 
 def base(**extra):
@@ -31,10 +30,6 @@ class TestDefaults:
     def test_minimal_document(self):
         cfg = load_run_config(base())
         assert cfg.sim.mass == 100.0
-
-    def test_eval_mode_mapping(self):
-        assert EvalConfig(mode="same").init_mode() is InitMode.SAME
-        assert EvalConfig(mode="random").init_mode() is InitMode.RANDOM
 
 
 class TestSources:
@@ -104,6 +99,16 @@ class TestCoercions:
         cfg = load_run_config(base(sim={"inertia": m}))
         np.testing.assert_array_equal(cfg.sim.inertia, np.array(m))
 
+    @pytest.mark.parametrize("key, value", [
+        ("backbone_channels", ["a", 8, 16]),
+        ("backbone_channels", [4, 8.5, 16]),
+        ("action_scale", ["a", 15, 15, 1, 1, 1]),
+        ("action_scale", ["15", 15, 15, 1, 1, 1]),
+    ])
+    def test_tuple_elements_checked(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad value for 'policy.{key}'"):
+            load_run_config(base(policy={key: value}))
+
     def test_non_integer_rejected_for_int_field(self):
         with pytest.raises(ConfigError, match="sim.horizon"):
             load_run_config(base(sim={"horizon": 2.5}))
@@ -113,6 +118,11 @@ class TestCoercions:
         assert cfg.expert.chatter_enabled is True
         with pytest.raises(ConfigError, match="expert.chatter_enabled"):
             load_run_config(base(expert={"chatter_enabled": 1}))
+
+    @pytest.mark.parametrize("value", ["12", True])
+    def test_float_field_needs_a_number(self, value):
+        with pytest.raises(ConfigError, match="bad value for 'sim.t_max'"):
+            load_run_config(base(sim={"t_max": value}))
 
     def test_bool_not_accepted_as_int(self):
         with pytest.raises(ConfigError, match="seed"):

