@@ -50,9 +50,7 @@ def _cmd_demos(args) -> int:
     cfg = _load_config(args)
     mode = _mode(args, cfg)
     seed = _seed(args, cfg)
-    if args.chatter:
-        cfg.expert.chatter_enabled = True
-    episodes = generate_demos(args.n, mode, seed, cfg.expert, cfg.sim)
+    episodes = generate_demos(args.n, mode, seed, cfg.expert, cfg.sim, chatter=args.chatter)
     dataio.write_episodes(args.out, episodes)
     total = sum(ep.steps for ep in episodes)
     print(f"wrote {len(episodes)} episodes ({total} steps) to {args.out}")

@@ -101,10 +101,6 @@ def _coerce(current, raw):
         if arr.shape == (3,):  # diagonal shorthand for the inertia tensor
             arr = np.diag(arr)
         return arr
-    if isinstance(current, bool):
-        if not isinstance(raw, bool):
-            raise ValueError("expected true/false")
-        return raw
     if isinstance(current, int):
         if isinstance(raw, bool) or int(raw) != raw:
             raise ValueError("expected an integer")

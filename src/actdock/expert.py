@@ -31,7 +31,6 @@ class ExpertConfig:
     kp_att: float = 1.2  # [N*m/rad] boresight alignment gain
     kd_att: float = 11.0  # [N*m*s/rad] rate damping
     chatter_amplitude: float = 0.5  # fraction of each actuator bound
-    chatter_enabled: bool = False
 
     def validate(self) -> None:
         for name in ("kp_pos", "kd_pos", "v_profile", "v_lateral", "kp_att", "kd_att"):
@@ -102,10 +101,10 @@ class ExpertController:
 
     needs_image = False
 
-    def __init__(self, cfg: ExpertConfig, sim: SimConfig, chatter: bool | None = None):
+    def __init__(self, cfg: ExpertConfig, sim: SimConfig, chatter: bool = False):
         self.cfg = cfg
         self.sim = sim
-        self.chatter = cfg.chatter_enabled if chatter is None else chatter
+        self.chatter = chatter
         self.name = "chatter" if self.chatter else "expert"
         self.trace = None
 
@@ -120,11 +119,12 @@ class ExpertController:
 
 
 def generate_demos(n: int, mode: InitMode, seed: int, cfg: ExpertConfig,
-                   sim: SimConfig) -> list[Episode]:
-    """n expert episodes on per-episode RNG streams derived from (seed, index)."""
+                   sim: SimConfig, chatter: bool = False) -> list[Episode]:
+    """n expert (or, with `chatter`, chatter-baseline) episodes on per-episode
+    RNG streams derived from (seed, index)."""
     if n < 1:
         raise ValueError(f"demo count must be >= 1, got {n}")
     cfg.validate()
     sim.validate()
-    controller = ExpertController(cfg, sim)
+    controller = ExpertController(cfg, sim, chatter=chatter)
     return [rollout(controller, mode, seed, sim, episode_index=i) for i in range(n)]

@@ -130,20 +130,20 @@ def _xavier(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
 
 
 def _add_linear(ps, rng, name, d_in, d_out):
-    ps.add(f"{name}.w", _xavier(rng, d_in, d_out, (d_in, d_out)))
-    ps.add(f"{name}.b", np.zeros(d_out))
+    ps[f"{name}.w"] = _xavier(rng, d_in, d_out, (d_in, d_out))
+    ps[f"{name}.b"] = np.zeros(d_out)
 
 
 def _add_layernorm(ps, name, d):
-    ps.add(f"{name}.g", np.ones(d))
-    ps.add(f"{name}.b", np.zeros(d))
+    ps[f"{name}.g"] = np.ones(d)
+    ps[f"{name}.b"] = np.zeros(d)
 
 
 def _add_attention(ps, rng, name, d):
     for part in ("wq", "wk", "wv", "wo"):
-        ps.add(f"{name}.{part}", _xavier(rng, d, d, (d, d)))
+        ps[f"{name}.{part}"] = _xavier(rng, d, d, (d, d))
     for part in ("bq", "bk", "bv", "bo"):
-        ps.add(f"{name}.{part}", np.zeros(d))
+        ps[f"{name}.{part}"] = np.zeros(d)
 
 
 def _add_encoder_layer(ps, rng, name, cfg):
@@ -168,17 +168,17 @@ def init_params(cfg: PolicyConfig, seed: int = 0) -> ParameterSet:
     """Deterministic parameter initialization for the given seed."""
     cfg.validate()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x9077))))
-    ps = ParameterSet()
-    _add_params(ps, rng, cfg)
-    return ps
+    arrays: dict[str, np.ndarray] = {}
+    _add_params(arrays, rng, cfg)
+    return ParameterSet(arrays)
 
 
 class _Shapes(dict):
-    """Stands in for both the ParameterSet and the generator: records shapes and
+    """Stands in for both the array dict and the generator: records shapes and
     draws nothing, so checking a checkpoint costs no second initialization."""
 
-    def add(self, name, values):
-        self[name] = np.shape(values)
+    def __setitem__(self, name, values):
+        super().__setitem__(name, np.shape(values))
 
     def uniform(self, low, high, size):
         return np.broadcast_to(0.0, size)
@@ -199,18 +199,18 @@ def _add_params(ps, rng, cfg: PolicyConfig) -> None:
 
     cin = 1
     for i, cout in enumerate(cfg.backbone_channels):
-        ps.add(f"backbone.b{i}.down.w", _xavier(rng, cin * 4, cout * 4, (cout, cin, 2, 2)))
-        ps.add(f"backbone.b{i}.down.b", np.zeros(cout))
-        ps.add(f"backbone.b{i}.res.w", _xavier(rng, cout, cout, (cout, cout, 1, 1)))
-        ps.add(f"backbone.b{i}.res.b", np.zeros(cout))
+        ps[f"backbone.b{i}.down.w"] = _xavier(rng, cin * 4, cout * 4, (cout, cin, 2, 2))
+        ps[f"backbone.b{i}.down.b"] = np.zeros(cout)
+        ps[f"backbone.b{i}.res.w"] = _xavier(rng, cout, cout, (cout, cout, 1, 1))
+        ps[f"backbone.b{i}.res.b"] = np.zeros(cout)
         cin = cout
-    ps.add("backbone.proj.w", _xavier(rng, cin, d, (d, cin, 1, 1)))
-    ps.add("backbone.proj.b", np.zeros(d))
+    ps["backbone.proj.w"] = _xavier(rng, cin, d, (d, cin, 1, 1))
+    ps["backbone.proj.b"] = np.zeros(d)
 
     _add_linear(ps, rng, "embed.state", cfg.d_state, d)
-    ps.add("embed.state.pos", 0.02 * rng.standard_normal(d))
+    ps["embed.state.pos"] = 0.02 * rng.standard_normal(d)
 
-    ps.add("vae.cls", 0.02 * rng.standard_normal(d))
+    ps["vae.cls"] = 0.02 * rng.standard_normal(d)
     _add_linear(ps, rng, "vae.state", cfg.d_state, d)
     _add_linear(ps, rng, "vae.action", cfg.d_action, d)
     for i in range(cfg.n_layers_vae):
@@ -219,13 +219,13 @@ def _add_params(ps, rng, cfg: PolicyConfig) -> None:
     _add_linear(ps, rng, "vae.head", d, 2 * cfg.d_z)
 
     _add_linear(ps, rng, "ztok", cfg.d_z, d)
-    ps.add("ztok.pos", 0.02 * rng.standard_normal(d))
+    ps["ztok.pos"] = 0.02 * rng.standard_normal(d)
 
     for i in range(cfg.n_layers_enc):
         _add_encoder_layer(ps, rng, f"enc.layers.{i}", cfg)
     _add_layernorm(ps, "enc.ln", d)
 
-    ps.add("dec.query", 0.02 * rng.standard_normal((cfg.k, d)))
+    ps["dec.query"] = 0.02 * rng.standard_normal((cfg.k, d))
     for i in range(cfg.n_layers_dec):
         _add_decoder_layer(ps, rng, f"dec.layers.{i}", cfg)
     _add_layernorm(ps, "dec.ln", d)

@@ -16,6 +16,7 @@ activations and the reductions used by the L1 and KL losses. Inside
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -62,23 +63,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, grad={'yes' if self.requires_grad else 'no'})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -182,21 +166,6 @@ def add(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"sub: cannot broadcast {a.shape} with {b.shape}") from None
-    out_data = a.data - b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     try:
@@ -220,16 +189,6 @@ def scale(a, s: float) -> Tensor:
         _accumulate(a, g * s)
 
     return _make(a.data * s, (a,), backward)
-
-
-def shift(a, c: float) -> Tensor:
-    """Add a python scalar constant."""
-    a = _coerce(a)
-
-    def backward(g):
-        _accumulate(a, g)
-
-    return _make(a.data + float(c), (a,), backward)
 
 
 # --- shape ops ---
@@ -334,16 +293,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
     return _make(out_data, (a,), backward)
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _coerce(a)
-    if axis is None:
-        count = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.shape[ax] for ax in axes]))
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 # --- elementwise nonlinearities ---
@@ -482,28 +431,26 @@ CHECKPOINT_FORMAT_VERSION = 1
 class ParameterSet:
     """Named float64 parameter tensors plus their Adam state.
 
-    The first adam_step packs parameters, first and second moments into one
-    flat buffer each; from then on every tensor's data and both moment arrays
-    are views of their slice, and the update runs once over each buffer, with
-    two same-sized work buffers kept for its intermediates."""
+    Parameters, first moments and second moments are the three rows of one
+    (3, n) buffer; every tensor's data and both moment arrays are views of
+    their slice of a row, so the update runs once over each row. The two
+    work buffers for its intermediates are allocated by the first adam_step."""
 
-    def __init__(self):
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        shapes = {name: np.shape(a) for name, a in arrays.items()}
+        self._buf = np.zeros((3, sum(math.prod(s) for s in shapes.values())))
         self._params: dict[str, Tensor] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._work: tuple[np.ndarray, np.ndarray] | None = None
+        self._work: np.ndarray | None = None
         self.step_count = 0
-
-    def add(self, name: str, values) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.array(values, dtype=np.float64), requires_grad=True)
-        self._params[name] = t
-        self._m[name] = np.zeros_like(t.data)
-        self._v[name] = np.zeros_like(t.data)
-        self._flat = None  # repacked by the next adam_step
-        return t
+        off = 0
+        for name, shape in shapes.items():
+            end = off + math.prod(shape)
+            p, self._m[name], self._v[name] = (row[off:end].reshape(shape) for row in self._buf)
+            p[...] = arrays[name]
+            self._params[name] = Tensor(p, requires_grad=True)
+            off = end
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -521,32 +468,19 @@ class ParameterSet:
         return self._params.items()
 
     def n_scalars(self) -> int:
-        return sum(t.size for t in self._params.values())
+        return self._buf.shape[1]
 
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
 
-    def _pack(self) -> None:
-        n = self.n_scalars()
-        self._flat = (np.empty(n), np.empty(n), np.empty(n))
-        self._work = (np.empty(n), np.empty(n))
-        off = 0
-        for name, t in self._params.items():
-            end = off + t.size
-            views = tuple(flat[off:end].reshape(t.shape) for flat in self._flat)
-            for view, arr in zip(views, (t.data, self._m[name], self._v[name])):
-                view[...] = arr
-            t.data, self._m[name], self._v[name] = views
-            off = end
-
     def adam_step(self, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
                   eps: float = 1e-8) -> None:
         """One bias-corrected Adam update; missing gradients count as zero.
         Gradients are cleared afterwards."""
-        if self._flat is None:
-            self._pack()
-        p, m, v = self._flat
+        if self._work is None:
+            self._work = np.empty((2, self.n_scalars()))
+        p, m, v = self._buf
         g, tmp = self._work
         off = 0
         for t in self._params.values():
@@ -578,21 +512,17 @@ class ParameterSet:
 
     # checkpoint format: 8-byte little-endian header length, JSON header, then
     # each tensor's float64 little-endian bytes at its recorded byte offset.
+    # save lays the payload out as the buffer: every parameter, then every
+    # first moment, then every second moment, each row in parameter order.
     def save(self, path, meta: dict | None = None) -> None:
+        n = self.n_scalars()
         entries = []
-        payload = bytearray()
-        for kind, table in (("param", self._params), ("adam_m", self._m), ("adam_v", self._v)):
-            for name, val in table.items():
-                arr = val.data if isinstance(val, Tensor) else val
-                entries.append(
-                    {
-                        "name": name,
-                        "kind": kind,
-                        "shape": list(arr.shape),
-                        "offset": len(payload),
-                    }
-                )
-                payload.extend(arr.astype("<f8").tobytes(order="C"))
+        for row, kind in enumerate(("param", "adam_m", "adam_v")):
+            off = row * n
+            for name, t in self._params.items():
+                entries.append({"name": name, "kind": kind, "shape": list(t.shape),
+                                "offset": 8 * off})
+                off += t.size
         header = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "adam_step": self.step_count,
@@ -600,15 +530,17 @@ class ParameterSet:
             "tensors": entries,
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        # Write a sibling temp file and rename it over `path`, so an interrupted
-        # save never leaves a torn checkpoint behind.
+        # Write a sibling temp file, flush it to disk and rename it over `path`,
+        # so neither an interrupted save nor a power loss leaves a torn checkpoint.
         path = os.fspath(path)
         tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as f:
                 f.write(struct.pack("<Q", len(blob)))
                 f.write(blob)
-                f.write(bytes(payload))
+                f.write(self._buf.astype("<f8", copy=False).data)
+                f.flush()
+                os.fsync(f.fileno())
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -617,32 +549,41 @@ class ParameterSet:
     @classmethod
     def load(cls, path) -> tuple["ParameterSet", dict]:
         with open(path, "rb") as f:
-            raw = f.read()
+            raw = memoryview(f.read())
         hlen = int.from_bytes(raw[:8], "little")
         if len(raw) < 8 + hlen:
             raise ValueError(f"checkpoint {path} is truncated inside its header")
-        header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
+        header = json.loads(bytes(raw[8 : 8 + hlen]))
         if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"checkpoint {path}: unsupported format_version "
                              f"{header.get('format_version')!r}")
         payload = raw[8 + hlen :]
-        ps = cls()
+        tables: dict[str, dict[str, np.ndarray]] = {"param": {}, "adam_m": {}, "adam_v": {}}
         for e in header["tensors"]:
+            name, kind = e["name"], e["kind"]
+            if kind not in tables:
+                raise ValueError(f"checkpoint {path}: unknown tensor kind {kind!r}")
+            if name in tables[kind]:
+                raise ValueError(f"checkpoint {path}: tensor {name!r} ({kind}) is listed twice")
             shape = tuple(e["shape"])
-            count = int(np.prod(shape)) if shape else 1
+            count = math.prod(shape)
             start = e["offset"]
             if start + 8 * count > len(payload):
-                raise ValueError(f"checkpoint {path}: tensor {e['name']!r} ({e['kind']}) runs "
+                raise ValueError(f"checkpoint {path}: tensor {name!r} ({kind}) runs "
                                  f"past the end of the {len(payload)}-byte payload (truncated?)")
-            arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-            arr = arr.reshape(shape).astype(np.float64)
-            if e["kind"] == "param":
-                ps.add(e["name"], arr)
-            elif e["kind"] == "adam_m":
-                ps._m[e["name"]] = arr.copy()
-            elif e["kind"] == "adam_v":
-                ps._v[e["name"]] = arr.copy()
-            else:
-                raise ValueError(f"unknown tensor kind {e['kind']!r} in checkpoint")
+            tables[kind][name] = np.frombuffer(payload, dtype="<f8", count=count,
+                                               offset=start).reshape(shape)
+        params = tables["param"]
+        shapes = {name: a.shape for name, a in params.items()}
+        for kind in ("adam_m", "adam_v"):
+            found = {name: a.shape for name, a in tables[kind].items()}
+            odd = [name for name in {**shapes, **found} if shapes.get(name) != found.get(name)]
+            if odd:
+                raise ValueError(f"checkpoint {path}: {kind} entries do not match the "
+                                 f"parameters' names and shapes at {', '.join(map(repr, odd))}")
+        ps = cls(params)
+        for name in params:
+            ps._m[name][...] = tables["adam_m"][name]
+            ps._v[name][...] = tables["adam_v"][name]
         ps.step_count = int(header.get("adam_step", 0))
         return ps, header.get("meta", {})

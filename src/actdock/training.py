@@ -65,7 +65,7 @@ def chunk_l1(pred: T.Tensor, target: np.ndarray, mask: np.ndarray) -> T.Tensor:
     count = int(mask.sum()) * target.shape[-1]
     if count == 0:
         raise ValueError("chunk_l1: every chunk entry is masked")
-    diff = T.tabs(T.sub(pred, Tensor(target)))
+    diff = T.tabs(T.add(pred, Tensor(-target)))
     masked = T.mul(diff, Tensor(mask[..., None].astype(np.float64)))
     return T.scale(T.tsum(masked), 1.0 / count)
 
@@ -75,8 +75,8 @@ def kl_divergence(style: LatentStyle) -> T.Tensor:
     summed over the latent, averaged over the batch."""
     mu2 = T.mul(style.mu, style.mu)
     s2 = T.exp(T.scale(style.log_sigma, 2.0))
-    inner = T.add(T.add(mu2, s2), T.shift(T.scale(style.log_sigma, -2.0), -1.0))
-    return T.scale(T.tmean(T.tsum(inner, axis=1)), 0.5)
+    inner = T.add(T.add(mu2, s2), T.add(T.scale(style.log_sigma, -2.0), Tensor(-1.0)))
+    return T.scale(T.scale(T.tsum(T.tsum(inner, axis=1)), 1.0 / inner.shape[0]), 0.5)
 
 
 def bc_loss(pred: T.Tensor, target: np.ndarray, mask: np.ndarray, style: LatentStyle,
@@ -204,8 +204,10 @@ def train(demos: list[Episode], policy_cfg: PolicyConfig, train_cfg: TrainConfig
         total.backward()
         params.adam_step(lr=train_cfg.learning_rate)
         curve.append((it, l1.item(), kl.item(), total.item()))
+        # the final save below writes the last iteration's checkpoint
         if (checkpoint_path is not None and train_cfg.checkpoint_every
-                and (it + 1) % train_cfg.checkpoint_every == 0):
+                and (it + 1) % train_cfg.checkpoint_every == 0
+                and it + 1 < train_cfg.iterations):
             save(checkpoint_path, it + 1)
     if checkpoint_path is not None:
         save(checkpoint_path, train_cfg.iterations)

@@ -93,6 +93,13 @@ class TestPipeline:
         doc = json.loads((workdir / "chatter.json").read_text(encoding="utf-8"))
         assert doc["report"]["policy"] == "chatter"
 
+    def test_chatter_demos(self, workdir):
+        out = workdir / "chatter.ndjson"
+        assert main(["demos", "--n", "2", "--chatter", "--out", str(out),
+                     "--config", str(workdir / "run.json")]) == 0
+        assert [ep.policy for ep in dataio.read_episodes(out)] == ["chatter"] * 2
+        assert {ep.policy for ep in dataio.read_episodes(workdir / "demos.ndjson")} == {"expert"}
+
     def test_heatmap_counts_all_steps(self, workdir):
         cfg = ["--config", str(workdir / "run.json")]
         out = workdir / "heat.csv"
@@ -193,11 +200,8 @@ class TestExitCodes:
         elif probe == "negative-decay":
             meta["ensemble_decay"] = -1.0
         elif probe == "missing-tensor":
-            kept = ParameterSet()
-            for name, t in params.items():
-                if name != "head.w":
-                    kept.add(name, t.data)
-            params = kept
+            params = ParameterSet({name: t.data for name, t in params.items()
+                                   if name != "head.w"})
         path = tmp_path / "bad.ckpt"
         params.save(path, meta=meta)
         if probe == "truncated-payload":  # cuts into the last tensor written
@@ -218,6 +222,15 @@ class TestExitCodes:
         assert main(["train", "--demos", str(workdir / "demos.ndjson"),
                      "--out", str(out), "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: unknown key 'policy.{key}'\n"
+        assert not out.exists()
+
+    def test_removed_chatter_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, expert={"chatter_enabled": True})),
+                        encoding="utf-8")
+        out = tmp_path / "demos.ndjson"
+        assert main(["demos", "--n", "1", "--out", str(out), "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: unknown key 'expert.chatter_enabled'\n"
         assert not out.exists()
 
     def test_usage_errors_exit_2(self):

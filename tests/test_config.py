@@ -113,12 +113,6 @@ class TestCoercions:
         with pytest.raises(ConfigError, match="sim.horizon"):
             load_run_config(base(sim={"horizon": 2.5}))
 
-    def test_bool_fields_strict(self):
-        cfg = load_run_config(base(expert={"chatter_enabled": True}))
-        assert cfg.expert.chatter_enabled is True
-        with pytest.raises(ConfigError, match="expert.chatter_enabled"):
-            load_run_config(base(expert={"chatter_enabled": 1}))
-
     @pytest.mark.parametrize("value", ["12", True])
     def test_float_field_needs_a_number(self, value):
         with pytest.raises(ConfigError, match="bad value for 'sim.t_max'"):

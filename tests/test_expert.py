@@ -136,10 +136,9 @@ class TestChatter:
         assert out.thrust[0] == pytest.approx(10.0)
 
     def test_controller_flag_overrides_config(self, sim):
-        cfg = ExpertConfig(chatter_enabled=False)
+        cfg = ExpertConfig()
         assert ExpertController(cfg, sim, chatter=True).name == "chatter"
         assert ExpertController(cfg, sim).name == "expert"
-        assert ExpertController(ExpertConfig(chatter_enabled=True), sim).name == "chatter"
 
 
 class TestConfigValidation:

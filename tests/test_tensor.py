@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -52,21 +54,11 @@ class TestElementwise:
     def test_add_broadcast(self):
         fd_check(lambda a, b: T.tsum(T.mul(T.add(a, b), T.add(a, b))), (3, 4), (4,))
 
-    def test_sub_and_neg(self):
-        fd_check(lambda a, b: T.tsum(T.mul(T.sub(a, b), -a)), (2, 3), (2, 3))
-
     def test_mul_broadcast_leading(self):
         fd_check(lambda a, b: T.tsum(T.mul(a, b)), (2, 3, 4), (3, 4))
 
     def test_scale_shift(self):
-        fd_check(lambda a: T.tsum(T.shift(T.scale(a, 2.5), -1.0)), (5,))
-
-    def test_operator_sugar_matches_functions(self):
-        a, b = leaf([[1.0, 2.0]]), leaf([[3.0, 4.0]])
-        assert np.array_equal((a + b).data, T.add(a, b).data)
-        assert np.array_equal((a - b).data, T.sub(a, b).data)
-        assert np.array_equal((a * b).data, T.mul(a, b).data)
-        assert np.array_equal((-a).data, -a.data)
+        fd_check(lambda a: T.tsum(T.scale(a, 2.5)), (5,))
 
     def test_exp_tanh(self):
         fd_check(lambda a: T.tsum(T.exp(a)), (3, 3))
@@ -158,11 +150,8 @@ class TestReductions:
         fd_check(lambda a, b: T.tsum(T.mul(T.tsum(a, axis=1, keepdims=True), b)),
                  (3, 4), (3, 1))
 
-    def test_mean_axis(self):
-        fd_check(lambda a, b: T.tsum(T.mul(T.tmean(a, axis=0), b)), (4, 3), (3,))
-
-    def test_mean_value(self):
-        assert T.tmean(Tensor(np.array([1.0, 2.0, 6.0]))).data.item() == 3.0
+    def test_sum_axis(self):
+        fd_check(lambda a, b: T.tsum(T.mul(T.tsum(a, axis=0), b)), (4, 3), (3,))
 
 
 class TestNormalizationAttention:
@@ -313,12 +302,20 @@ class TestGraph:
             Tensor(np.array([1.0, np.nan]))
 
 
+def rewrite_tensor_entries(path, edit):
+    """Replace the checkpoint header's tensor list by edit(list); the payload stays."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[:8], "little")
+    header = json.loads(raw[8:8 + hlen])
+    header["tensors"] = edit(header["tensors"])
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(len(blob).to_bytes(8, "little") + blob + raw[8 + hlen:])
+
+
 class TestParameterSet:
     def make(self):
-        ps = ParameterSet()
-        ps.add("w", np.array([[1.0, -2.0], [0.5, 3.0]]))
-        ps.add("b", np.array([0.1, -0.1]))
-        return ps
+        return ParameterSet({"w": np.array([[1.0, -2.0], [0.5, 3.0]]),
+                             "b": np.array([0.1, -0.1])})
 
     def test_add_and_lookup(self):
         ps = self.make()
@@ -327,14 +324,24 @@ class TestParameterSet:
         assert ps.n_scalars() == 6
         assert len(ps) == 2
 
-    def test_duplicate_name_rejected(self):
-        ps = self.make()
-        with pytest.raises(ValueError):
-            ps.add("w", np.zeros(2))
+    def test_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        self.make().save(path)
+        rewrite_tensor_entries(path, lambda es: es + [dict(es[0])])
+        with pytest.raises(ValueError, match="'w' \\(param\\) is listed twice") as err:
+            ParameterSet.load(path)
+        assert str(path) in str(err.value)
+
+    def test_construction_copies_the_arrays(self):
+        w = np.array([[1.0, -2.0], [0.5, 3.0]])
+        ps = ParameterSet({"w": w})
+        w[0, 0] = 9.0
+        assert ps["w"].data[0, 0] == 1.0 and ps["w"].requires_grad
+        assert np.array_equal(ps._m["w"], np.zeros((2, 2)))
 
     def test_adam_single_step_hand_computed(self):
-        ps = ParameterSet()
-        p = ps.add("p", np.array([1.0, 2.0]))
+        ps = ParameterSet({"p": np.array([1.0, 2.0])})
+        p = ps["p"]
         p.grad = np.array([0.5, -1.0])
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         ps.adam_step(lr=lr, beta1=b1, beta2=b2, eps=eps)
@@ -347,8 +354,8 @@ class TestParameterSet:
         assert np.array_equal(p.data, expected)
 
     def test_adam_two_steps_bias_correction(self):
-        ps = ParameterSet()
-        p = ps.add("p", np.array([0.0]))
+        ps = ParameterSet({"p": np.array([0.0])})
+        p = ps["p"]
         m = np.zeros(1)
         v = np.zeros(1)
         x = np.array([0.0])
@@ -365,9 +372,7 @@ class TestParameterSet:
     def test_adam_flat_matches_per_tensor_loop(self):
         rng = np.random.default_rng(11)
         shapes = {"w": (3, 4), "b": (4,), "k": (2, 1, 2, 2)}
-        ps = ParameterSet()
-        for name, shape in shapes.items():
-            ps.add(name, rng.normal(size=shape))
+        ps = ParameterSet({name: rng.normal(size=shape) for name, shape in shapes.items()})
         ref = {name: [ps[name].data.copy(), np.zeros(shape), np.zeros(shape)]
                for name, shape in shapes.items()}
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
@@ -387,17 +392,6 @@ class TestParameterSet:
                 assert np.array_equal(ps[name].data, x)
                 assert np.array_equal(ps._m[name], m)
                 assert np.array_equal(ps._v[name], v)
-
-    def test_add_after_step_keeps_values(self):
-        ps = self.make()
-        ps["w"].grad = np.ones((2, 2))
-        ps.adam_step()
-        moments = {name: ps._m[name].copy() for name in ps.names()}
-        ps.add("c", np.array([5.0]))
-        ps.adam_step()  # repacks; with no gradients every first moment decays by beta1
-        assert np.array_equal(ps["c"].data, [5.0])
-        for name, m in moments.items():
-            assert np.array_equal(ps._m[name], 0.9 * m)
 
     def test_adam_clears_grads(self):
         ps = self.make()
@@ -484,6 +478,36 @@ class TestParameterSet:
         assert meta == {"iteration": 1} and again.step_count == 1
         assert again["w"].data.tobytes() == w_saved.tobytes()
         assert not np.array_equal(ps["w"].data, w_saved)
+
+    def test_save_fsyncs_before_rename(self, tmp_path, monkeypatch):
+        events = []
+
+        def recorded(name):
+            call = getattr(T.os, name)
+
+            def wrapped(*args):
+                events.append(name)
+                return call(*args)
+            return wrapped
+
+        for name in ("fsync", "replace"):
+            monkeypatch.setattr(T.os, name, recorded(name))
+        self.make().save(tmp_path / "ck.bin")
+        assert events == ["fsync", "replace"]
+
+    @pytest.mark.parametrize("edit, what", [
+        (lambda es: [e for e in es if (e["kind"], e["name"]) != ("adam_m", "w")],
+         "adam_m entries do not match"),
+        (lambda es: es + [{"name": "ghost", "kind": "adam_v", "shape": [2], "offset": 0}],
+         "adam_v entries do not match"),
+    ], ids=["missing", "unknown-name"])
+    def test_load_rejects_moments_unlike_parameters(self, tmp_path, edit, what):
+        path = tmp_path / "ck.bin"
+        self.make().save(path)
+        rewrite_tensor_entries(path, edit)
+        with pytest.raises(ValueError) as err:
+            ParameterSet.load(path)
+        assert str(path) in str(err.value) and what in str(err.value)
 
     def test_load_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.bin"

@@ -9,7 +9,7 @@ from actdock.evaluate import Episode, StepRecord
 from actdock.expert import ExpertConfig, generate_demos
 from actdock.policy import LatentStyle, init_params
 from actdock.render import CameraModel, MarkerGeometry
-from actdock.tensor import Tensor
+from actdock.tensor import ParameterSet, Tensor
 from actdock.training import (
     DemoDataset,
     TrainConfig,
@@ -210,13 +210,22 @@ class TestTrainLoop:
         for name, t in params.items():
             np.testing.assert_array_equal(t.data, loaded[name].data)
 
-    def test_periodic_checkpoints_written(self, tmp_path):
+    def test_periodic_checkpoints_written(self, tmp_path, monkeypatch):
         demos = short_demos(n=1)
         cfg = tiny_policy_config()
         ckpt = tmp_path / "p.npz"
+        saved = []
+        save = ParameterSet.save
+
+        def recorded(self, path, meta=None):
+            saved.append(meta["iteration"])
+            save(self, path, meta=meta)
+
+        monkeypatch.setattr(ParameterSet, "save", recorded)
         train(demos, cfg, TrainConfig(iterations=4, batch_size=1, seed=0,
                                       checkpoint_every=2),
               tiny_camera(), MarkerGeometry(), checkpoint_path=ckpt)
+        assert saved == [2, 4]
         _, _, meta = load_policy(ckpt)
         assert meta["iteration"] == 4
 
