@@ -160,14 +160,6 @@ def betainc_reg(a: float, b: float, x: float) -> float:
     return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
 
 
-def t_sf(t: float, df: float) -> float:
-    """Student-t upper tail P(T > t)."""
-    if df <= 0.0:
-        raise ValueError(f"t_sf requires df > 0, got {df}")
-    two = betainc_reg(0.5 * df, 0.5, df / (df + t * t))
-    return 0.5 * two if t >= 0.0 else 1.0 - 0.5 * two
-
-
 def t_two_tailed(t: float, df: float) -> float:
     """Two-tailed Student-t p-value P(|T| > |t|)."""
     if df <= 0.0:
@@ -260,9 +252,6 @@ def shapiro_wilk(x) -> TestResult:
             [norm_ppf((i - 0.375) / (n + 0.25)) for i in range(1, n2 + 1)]
         )  # lower-half Blom scores, all negative
         ss = 2.0 * float(np.sum(m_low**2))
-        if n % 2 == 1:
-            # the middle score is zero and contributes nothing
-            pass
         rsn = 1.0 / math.sqrt(n)
         a1 = _poly(_SW_C1, rsn) - m_low[0] / math.sqrt(ss)
         coeffs = -m_low.copy()  # positive upper-half coefficients

@@ -15,6 +15,7 @@ activations and the reductions used by the L1 and KL losses. Inside
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -279,20 +280,13 @@ def linear(x, w, b=None) -> Tensor:
 # --- reductions ---
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = _coerce(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-            return
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
+    def backward(g):  # _accumulate broadcasts g back over the summed axes
+        _accumulate(a, g if axis is None else np.expand_dims(g, axis))
 
-    return _make(out_data, (a,), backward)
+    return _make(a.data.sum(axis=axis), (a,), backward)
 
 
 # --- elementwise nonlinearities ---
@@ -511,27 +505,23 @@ class ParameterSet:
         p -= g
 
     # checkpoint format: 8-byte little-endian header length, JSON header, then
-    # each tensor's float64 little-endian bytes at its recorded byte offset.
-    # save lays the payload out as the buffer: every parameter, then every
-    # first moment, then every second moment, each row in parameter order.
+    # the (3, n) buffer as little-endian float64. The header lists _layout()'s
+    # entries, and load accepts no other placement.
+    def _layout(self) -> list[dict]:
+        """Name, kind, shape and payload byte offset of each tensor, row by row."""
+        starts = list(itertools.accumulate((t.size for t in self._params.values()), initial=0))
+        return [{"name": name, "kind": kind, "shape": list(t.shape),
+                 "offset": 8 * (row * self.n_scalars() + start)}
+                for row, kind in enumerate(("param", "adam_m", "adam_v"))
+                for (name, t), start in zip(self._params.items(), starts)]
+
     def save(self, path, meta: dict | None = None) -> None:
-        n = self.n_scalars()
-        entries = []
-        for row, kind in enumerate(("param", "adam_m", "adam_v")):
-            off = row * n
-            for name, t in self._params.items():
-                entries.append({"name": name, "kind": kind, "shape": list(t.shape),
-                                "offset": 8 * off})
-                off += t.size
-        header = {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "adam_step": self.step_count,
-            "meta": meta if meta is not None else {},
-            "tensors": entries,
-        }
+        header = {"format_version": CHECKPOINT_FORMAT_VERSION, "adam_step": self.step_count,
+                  "meta": meta if meta is not None else {}, "tensors": self._layout()}
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        # Write a sibling temp file, flush it to disk and rename it over `path`,
-        # so neither an interrupted save nor a power loss leaves a torn checkpoint.
+        # Write a sibling temp file, flush it to disk, rename it over `path` and
+        # flush the directory entry, so neither an interrupted save nor a power
+        # loss leaves a torn or missing checkpoint.
         path = os.fspath(path)
         tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
         try:
@@ -542,48 +532,58 @@ class ParameterSet:
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, path)
+            fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
 
     @classmethod
     def load(cls, path) -> tuple["ParameterSet", dict]:
+        """Read a checkpoint that save wrote: each tensor must sit where save puts it."""
+        def bad(msg):
+            return ValueError(f"checkpoint {path}: {msg}")
+
         with open(path, "rb") as f:
-            raw = memoryview(f.read())
-        hlen = int.from_bytes(raw[:8], "little")
-        if len(raw) < 8 + hlen:
-            raise ValueError(f"checkpoint {path} is truncated inside its header")
-        header = json.loads(bytes(raw[8 : 8 + hlen]))
-        if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"checkpoint {path}: unsupported format_version "
-                             f"{header.get('format_version')!r}")
-        payload = raw[8 + hlen :]
-        tables: dict[str, dict[str, np.ndarray]] = {"param": {}, "adam_m": {}, "adam_v": {}}
-        for e in header["tensors"]:
-            name, kind = e["name"], e["kind"]
-            if kind not in tables:
-                raise ValueError(f"checkpoint {path}: unknown tensor kind {kind!r}")
-            if name in tables[kind]:
-                raise ValueError(f"checkpoint {path}: tensor {name!r} ({kind}) is listed twice")
-            shape = tuple(e["shape"])
-            count = math.prod(shape)
-            start = e["offset"]
-            if start + 8 * count > len(payload):
-                raise ValueError(f"checkpoint {path}: tensor {name!r} ({kind}) runs "
-                                 f"past the end of the {len(payload)}-byte payload (truncated?)")
-            tables[kind][name] = np.frombuffer(payload, dtype="<f8", count=count,
-                                               offset=start).reshape(shape)
-        params = tables["param"]
-        shapes = {name: a.shape for name, a in params.items()}
-        for kind in ("adam_m", "adam_v"):
-            found = {name: a.shape for name, a in tables[kind].items()}
-            odd = [name for name in {**shapes, **found} if shapes.get(name) != found.get(name)]
-            if odd:
-                raise ValueError(f"checkpoint {path}: {kind} entries do not match the "
-                                 f"parameters' names and shapes at {', '.join(map(repr, odd))}")
-        ps = cls(params)
-        for name in params:
-            ps._m[name][...] = tables["adam_m"][name]
-            ps._v[name][...] = tables["adam_v"][name]
+            size = os.fstat(f.fileno()).st_size
+            hlen = int.from_bytes(f.read(8), "little")
+            if size < 8 + hlen:
+                raise bad("truncated inside its header")
+            try:
+                header = json.loads(f.read(hlen))
+            except ValueError as err:
+                raise bad(f"header is not JSON ({err})") from None
+            version = header.get("format_version") if isinstance(header, dict) else None
+            if version != CHECKPOINT_FORMAT_VERSION:
+                raise bad(f"unsupported format_version {version!r}")
+            ps = cls({e["name"]: np.broadcast_to(0.0, e["shape"])
+                      for e in header["tensors"] if e["kind"] == "param"})
+            layout, seen = ps._layout(), set()
+            for e, want in itertools.zip_longest(header["tensors"], layout, fillvalue={}):
+                name, kind = (e or want)["name"], (e or want)["kind"]
+                if (name, kind) in seen:
+                    raise bad(f"tensor {name!r} ({kind}) is listed twice")
+                if e != want:
+                    raise bad(f"{kind} entries do not match the parameters' names, shapes and "
+                              f"offsets at {name!r}: the header lists {e}, save writes {want}")
+                seen.add((name, kind))
+            got = f.readinto(ps._buf)
+
+        def tensor_at(byte):  # the tensor holding payload byte `byte`, else the last one
+            e = next((e for e in reversed(layout) if e["offset"] <= byte), {})
+            return f"tensor {e.get('name')!r} ({e.get('kind')})"
+
+        extra = size - 8 - hlen - ps._buf.nbytes
+        if extra:
+            raise bad(f"the payload ends inside {tensor_at(got)} (truncated?)" if extra < 0
+                      else f"{extra} bytes follow the payload's last tensor, {tensor_at(got)}")
+        if not np.little_endian:
+            ps._buf.byteswap(inplace=True)
+        finite = np.isfinite(ps._buf)
+        if not finite.all():
+            raise bad(f"{tensor_at(8 * int(finite.argmin()))} holds non-finite values")
         ps.step_count = int(header.get("adam_step", 0))
         return ps, header.get("meta", {})

@@ -186,6 +186,8 @@ class TestExitCodes:
         ("negative-mass", "sim.mass"),
         ("missing-tensor", "head.w"),
         ("truncated-payload", "'head.b' (adam_v)"),
+        ("nan-param", "'backbone.b0.down.w' (param)"),
+        ("header-not-json", "header is not JSON"),
         ("decay-not-number", "eval.ensemble_decay"),
         ("negative-decay", "eval.ensemble_decay"),
     ])
@@ -206,6 +208,13 @@ class TestExitCodes:
         params.save(path, meta=meta)
         if probe == "truncated-payload":  # cuts into the last tensor written
             path.write_bytes(path.read_bytes()[:-8])
+        elif probe == "nan-param":  # overwrites the payload's first float
+            raw = bytearray(path.read_bytes())
+            start = 8 + int.from_bytes(raw[:8], "little")
+            raw[start:start + 8] = np.float64(np.nan).tobytes()
+            path.write_bytes(raw)
+        elif probe == "header-not-json":
+            path.write_bytes((3).to_bytes(8, "little") + b"abc")
         assert main(["eval", "--policy", "act", "--checkpoint", str(path), "--n", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

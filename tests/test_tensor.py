@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import actdock.tensor as T
 from actdock.tensor import GraphError, ParameterSet, ShapeError, Tensor
@@ -146,9 +150,8 @@ class TestReductions:
     def test_sum_all(self):
         fd_check(lambda a: T.tsum(T.mul(T.tsum(a), T.tsum(a))), (3, 2))
 
-    def test_sum_axis_keepdims(self):
-        fd_check(lambda a, b: T.tsum(T.mul(T.tsum(a, axis=1, keepdims=True), b)),
-                 (3, 4), (3, 1))
+    def test_sum_last_axis(self):
+        fd_check(lambda a, b: T.tsum(T.mul(T.tsum(a, axis=1), b)), (3, 4), (3,))
 
     def test_sum_axis(self):
         fd_check(lambda a, b: T.tsum(T.mul(T.tsum(a, axis=0), b)), (4, 3), (3,))
@@ -310,6 +313,11 @@ def rewrite_tensor_entries(path, edit):
     header["tensors"] = edit(header["tensors"])
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(len(blob).to_bytes(8, "little") + blob + raw[8 + hlen:])
+
+
+def payload_start(raw) -> int:
+    """Byte index of the checkpoint payload's first float."""
+    return 8 + int.from_bytes(raw[:8], "little")
 
 
 class TestParameterSet:
@@ -493,7 +501,7 @@ class TestParameterSet:
         for name in ("fsync", "replace"):
             monkeypatch.setattr(T.os, name, recorded(name))
         self.make().save(tmp_path / "ck.bin")
-        assert events == ["fsync", "replace"]
+        assert events == ["fsync", "replace", "fsync"]  # the file, then its directory
 
     @pytest.mark.parametrize("edit, what", [
         (lambda es: [e for e in es if (e["kind"], e["name"]) != ("adam_m", "w")],
@@ -514,3 +522,57 @@ class TestParameterSet:
         bad.write_bytes(b"\x00" * 4)
         with pytest.raises(ValueError):
             ParameterSet.load(bad)
+
+    def test_load_rejects_nonfinite_moment(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        ps = self.make()
+        ps.save(path)
+        raw = bytearray(path.read_bytes())
+        first_m = payload_start(raw) + 8 * ps.n_scalars()
+        raw[first_m:first_m + 8] = np.float64(np.nan).tobytes()
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="'w' \\(adam_m\\) holds non-finite") as err:
+            ParameterSet.load(path)
+        assert str(path) in str(err.value)
+
+    def test_load_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        self.make().save(path)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(ValueError, match="16 bytes follow .* 'b' \\(adam_v\\)") as err:
+            ParameterSet.load(path)
+        assert str(path) in str(err.value)
+
+    def test_load_rejects_shifted_offset(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        self.make().save(path)
+        rewrite_tensor_entries(path, lambda es: [dict(es[0], offset=es[0]["offset"] + 8)]
+                               + es[1:])
+        with pytest.raises(ValueError, match="param entries do not match .* at 'w'") as err:
+            ParameterSet.load(path)
+        assert str(path) in str(err.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_save_load_save_round_trip(self, data):
+        shapes = data.draw(st.dictionaries(
+            st.text(min_size=1, max_size=6),
+            st.lists(st.integers(1, 3), max_size=3).map(tuple), max_size=5))
+        ps = ParameterSet({name: np.zeros(shape) for name, shape in shapes.items()})
+        n = ps.n_scalars()
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=3 * n, max_size=3 * n))
+        ps._buf[...] = np.reshape(values, (3, n))
+        ps.step_count = data.draw(st.integers(0, 2**40))
+        meta = data.draw(st.dictionaries(st.text(max_size=4),
+                                         st.integers() | st.text(max_size=4), max_size=3))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
+            ps.save(first, meta=meta)
+            again, meta_again = ParameterSet.load(first)
+            again.save(second, meta=meta_again)
+            assert second.read_bytes() == first.read_bytes()
+        assert again.names() == ps.names() and meta_again == meta
+        assert [t.shape for _, t in again.items()] == [t.shape for _, t in ps.items()]
+        assert again.step_count == ps.step_count
+        assert again._buf.tobytes() == ps._buf.tobytes()
