@@ -11,6 +11,7 @@ inference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -91,8 +92,9 @@ class LatentStyle:
 # --- positional encodings ---
 
 
+@functools.lru_cache(maxsize=16)
 def sinusoidal_pos_1d(n: int, d: int) -> np.ndarray:
-    """(n, d) fixed sin/cos sequence encoding."""
+    """(n, d) fixed sin/cos sequence encoding; cached, read-only."""
     if d % 2 != 0:
         raise ValueError(f"sinusoidal encoding width must be even, got {d}")
     pos = np.arange(n, dtype=np.float64)[:, None]
@@ -100,24 +102,23 @@ def sinusoidal_pos_1d(n: int, d: int) -> np.ndarray:
     pe = np.zeros((n, d))
     pe[:, 0::2] = np.sin(pos / div)
     pe[:, 1::2] = np.cos(pos / div)
+    pe.flags.writeable = False
     return pe
 
 
+@functools.lru_cache(maxsize=16)
 def sinusoidal_pos_2d(h: int, w: int, d: int) -> np.ndarray:
-    """(h*w, d) grid encoding: first half encodes the row, second the column.
+    """(h*w, d) grid encoding: first half encodes the row, second the column;
+    cached, read-only.
 
     Position (0, 0) has every sine component 0 and every cosine component 1.
     """
     if d % 4 != 0:
         raise ValueError(f"2-D sinusoidal encoding width must divide by 4, got {d}")
     half = d // 2
-    rows = sinusoidal_pos_1d(h, half)
-    cols = sinusoidal_pos_1d(w, half)
-    out = np.zeros((h * w, d))
-    for i in range(h):
-        for j in range(w):
-            out[i * w + j, :half] = rows[i]
-            out[i * w + j, half:] = cols[j]
+    out = np.concatenate([np.repeat(sinusoidal_pos_1d(h, half), w, axis=0),
+                          np.tile(sinusoidal_pos_1d(w, half), (h, 1))], axis=1)
+    out.flags.writeable = False
     return out
 
 
@@ -139,10 +140,14 @@ def _add_layernorm(ps, name, d):
     ps[f"{name}.b"] = np.zeros(d)
 
 
+# T.attention's argument order; init draws the weights first, then the biases
+_ATTENTION_PARTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+
 def _add_attention(ps, rng, name, d):
-    for part in ("wq", "wk", "wv", "wo"):
+    for part in _ATTENTION_PARTS[0::2]:
         ps[f"{name}.{part}"] = _xavier(rng, d, d, (d, d))
-    for part in ("bq", "bk", "bv", "bo"):
+    for part in _ATTENTION_PARTS[1::2]:
         ps[f"{name}.{part}"] = np.zeros(d)
 
 
@@ -236,16 +241,13 @@ def _add_params(ps, rng, cfg: PolicyConfig) -> None:
 
 
 def _mha(xq: Tensor, xkv: Tensor, ps: ParameterSet, name: str, cfg: PolicyConfig) -> Tensor:
-    q = T.linear(xq, ps[f"{name}.wq"], ps[f"{name}.bq"])
-    k = T.linear(xkv, ps[f"{name}.wk"], ps[f"{name}.bk"])
-    v = T.linear(xkv, ps[f"{name}.wv"], ps[f"{name}.bv"])
-    out = T.multi_head_attention(q, k, v, cfg.n_heads)
-    return T.linear(out, ps[f"{name}.wo"], ps[f"{name}.bo"])
+    return T.attention(xq, xkv, *(ps[f"{name}.{part}"] for part in _ATTENTION_PARTS),
+                       cfg.n_heads)
 
 
 def _ffn(x: Tensor, ps: ParameterSet, name: str) -> Tensor:
-    hidden = T.gelu(T.linear(x, ps[f"{name}.ff1.w"], ps[f"{name}.ff1.b"]))
-    return T.linear(hidden, ps[f"{name}.ff2.w"], ps[f"{name}.ff2.b"])
+    return T.feed_forward(x, ps[f"{name}.ff1.w"], ps[f"{name}.ff1.b"],
+                          ps[f"{name}.ff2.w"], ps[f"{name}.ff2.b"])
 
 
 def _encoder_layer(x: Tensor, ps: ParameterSet, name: str, cfg: PolicyConfig) -> Tensor:

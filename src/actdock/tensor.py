@@ -8,9 +8,10 @@ built fresh each forward pass and discarded with the result.
 
 The op set is exactly what the docking policy needs: elementwise arithmetic,
 reshape/transpose/concat/indexing, a one-node affine map over the last axis,
-layer normalization, fused multi-head scaled dot-product attention, GELU/tanh
-activations and the reductions used by the L1 and KL losses. Inside
-``no_grad()`` ops record no graph.
+layer normalization, GELU/tanh activations, the reductions used by the L1 and
+KL losses, and two transformer blocks as one node each: multi-head attention
+with its four projections, and the linear -> GELU -> linear feed-forward.
+Inside ``no_grad()`` ops record no graph.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        # One cheap full-array reduction; a NaN or inf anywhere poisons it.
-        if not np.isfinite(self.data.sum()):
+        # One cheap full-array reduction; a NaN or inf anywhere poisons it. Only
+        # a sum that is not finite (possibly an overflow) needs the full check.
+        if not math.isfinite(self.data.sum()) and not np.isfinite(self.data).all():
             raise ValueError("tensor holds non-finite values")
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -155,10 +157,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        out_data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from None
-    out_data = a.data + b.data
 
     def backward(g):
         _accumulate(a, _unbroadcast(g, a.shape))
@@ -170,10 +171,9 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        out_data = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from None
-    out_data = a.data * b.data
 
     def backward(g):
         _accumulate(a, _unbroadcast(g * b.data, a.shape))
@@ -208,10 +208,9 @@ def reshape(a, shape) -> Tensor:
 def transpose(a, axes) -> Tensor:
     a = _coerce(a)
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
 
     def backward(g):
-        _accumulate(a, g.transpose(inv))
+        _accumulate(a, g.transpose([axes.index(i) for i in range(len(axes))]))
 
     return _make(a.data.transpose(axes), (a,), backward)
 
@@ -325,25 +324,35 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
 
-def gelu(a) -> Tensor:
-    """Smooth GELU (tanh form)."""
-    a = _coerce(a)
-    x = a.data
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth GELU (tanh form) of x, and the tanh term its slope needs."""
     u = x * x
     u *= x
     u *= _GELU_A
     u += x
     u *= _GELU_C
     t = np.tanh(u)
+    return 0.5 * x * (1.0 + t), t
+
+
+def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d gelu(x) / dx, given _gelu's tanh term t."""
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
+def gelu(a) -> Tensor:
+    """Smooth GELU (tanh form)."""
+    a = _coerce(a)
+    out_data, t = _gelu(a.data)
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        _accumulate(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du))
+        _accumulate(a, g * _gelu_slope(a.data, t))
 
-    return _make(0.5 * x * (1.0 + t), (a,), backward)
+    return _make(out_data, (a,), backward)
 
 
-# --- normalization, attention ---
+# --- normalization, transformer blocks ---
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -354,9 +363,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm: gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    # sum / d is exactly what mean computes, without its dispatch
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out_data = gain.data * xhat + bias.data
@@ -367,54 +376,102 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         gy = g * gain.data
         gx = inv * (
             gy
-            - gy.mean(axis=-1, keepdims=True)
-            - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
+            - gy.sum(axis=-1, keepdims=True) / d
+            - xhat * (gy * xhat).sum(axis=-1, keepdims=True) / d
         )
         _accumulate(x, gx)
 
     return _make(out_data, (x, gain, bias), backward)
 
 
-def multi_head_attention(q, k, v, n_heads: int) -> Tensor:
-    """softmax(q_h k_h^T / sqrt(dh)) v_h for every head h, heads merged.
+def _affine(x2: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """x2 @ w + b for a 2-D x2, the bias added in place."""
+    out = x2 @ w.data
+    out += b.data
+    return out
 
-    q: (B, T, d), k/v: (B, S, d); head h is the slice h*dh:(h+1)*dh of the
-    last axis, dh = d / n_heads. Returns (B, T, d). One node: the head split,
-    scores, softmax, weighted sum and head merge share one backward."""
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    if q.ndim != 3 or k.shape != v.shape or k.shape[::2] != q.shape[::2]:
-        raise ShapeError(f"attention: need q (B,T,d), k/v (B,S,d); got "
-                         f"{q.shape}, {k.shape}, {v.shape}")
-    bsz, tq, d = q.shape
-    tk = k.shape[1]
+
+def _affine_backward(x: Tensor, x2: np.ndarray, w: Tensor, b: Tensor, g2: np.ndarray) -> None:
+    """Gradients of x2 @ w + b, x2 the flattened x, for output gradient g2."""
+    _accumulate(w, x2.T @ g2)
+    _accumulate(b, g2.sum(axis=0))
+    _accumulate(x, (g2 @ w.data.T).reshape(x.shape))
+
+
+def attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, n_heads: int) -> Tensor:
+    """Multi-head attention block: (softmax(q_h k_h^T / sqrt(dh)) v_h, heads
+    merged) @ wo + bo, with q = xq @ wq + bq, k = xkv @ wk + bk, v = xkv @ wv + bv.
+
+    xq: (B, T, d), xkv: (B, S, d), every w (d, d), every b (d,); head h is the
+    slice h*dh:(h+1)*dh of the last axis, dh = d / n_heads. Returns (B, T, d).
+    One node: projections, head split, softmax, weighted sum, head merge and
+    output projection share one backward."""
+    xq, xkv = _coerce(xq), _coerce(xkv)
+    ps = wq, bq, wk, bk, wv, bv, wo, bo = tuple(map(_coerce, (wq, bq, wk, bk, wv, bv, wo, bo)))
+    if xq.ndim != 3 or xkv.ndim != 3 or xkv.shape[::2] != xq.shape[::2]:
+        raise ShapeError(f"attention: need xq (B,T,d), xkv (B,S,d); got {xq.shape}, {xkv.shape}")
+    bsz, tq, d = xq.shape
+    tk = xkv.shape[1]
+    if {w.shape for w in ps[0::2]} != {(d, d)} or {b.shape for b in ps[1::2]} != {(d,)}:
+        raise ShapeError(f"attention: width {d} needs ({d}, {d}) weights and ({d},) biases, "
+                         f"got {[p.shape for p in ps]}")
     if d % n_heads:
         raise ShapeError(f"attention: width {d} does not split into {n_heads} heads")
     dh = d // n_heads
 
-    def heads(x, tlen):  # (B, t, d) -> (B, h, t, dh)
+    def heads(x, tlen):  # (B*t, d) -> (B, h, t, dh)
         return x.reshape(bsz, tlen, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x, tlen):  # (B, h, t, dh) -> (B, t, d)
-        return x.transpose(0, 2, 1, 3).reshape(bsz, tlen, d)
+    def merge(x, tlen):  # (B, h, t, dh) -> (B*t, d)
+        return x.transpose(0, 2, 1, 3).reshape(bsz * tlen, d)
 
-    qh, kh, vh = heads(q.data, tq), heads(k.data, tk), heads(v.data, tk)
-    c = 1.0 / np.sqrt(dh)
-    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * c
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
+    xq2, xkv2 = xq.data.reshape(-1, d), xkv.data.reshape(-1, d)
+    qh = heads(_affine(xq2, wq, bq), tq)
+    kh = heads(_affine(xkv2, wk, bk), tk)
+    vh = heads(_affine(xkv2, wv, bv), tk)
+    c = 1.0 / math.sqrt(dh)
+    s = np.matmul(qh, kh.swapaxes(-1, -2))
+    s *= c
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    o2 = merge(np.matmul(s, vh), tq)
 
     def backward(g):
-        gh = heads(g, tq)
-        if v.requires_grad:
-            _accumulate(v, merge(np.matmul(s.swapaxes(-1, -2), gh), tk))
+        g2 = g.reshape(-1, d)
+        _accumulate(wo, o2.T @ g2)
+        _accumulate(bo, g2.sum(axis=0))
+        gh = heads(g2 @ wo.data.T, tq)
         t = np.matmul(gh, vh.swapaxes(-1, -2)) * s
         gscores = (t - s * t.sum(axis=-1, keepdims=True)) * c
-        if q.requires_grad:
-            _accumulate(q, merge(np.matmul(gscores, kh), tq))
-        if k.requires_grad:
-            _accumulate(k, merge(np.matmul(gscores.swapaxes(-1, -2), qh), tk))
+        _affine_backward(xq, xq2, wq, bq, merge(np.matmul(gscores, kh), tq))
+        _affine_backward(xkv, xkv2, wk, bk, merge(np.matmul(gscores.swapaxes(-1, -2), qh), tk))
+        _affine_backward(xkv, xkv2, wv, bv, merge(np.matmul(s.swapaxes(-1, -2), gh), tk))
 
-    return _make(merge(np.matmul(s, vh), tq), (q, k, v), backward)
+    out_data = _affine(o2, wo, bo).reshape(bsz, tq, d)
+    return _make(out_data, (xq, xkv) + ps, backward)
+
+
+def feed_forward(x, w1, b1, w2, b2) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 on the last axis, as one node."""
+    x, w1, b1, w2, b2 = map(_coerce, (x, w1, b1, w2, b2))
+    d = x.shape[-1]
+    if (w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != d or w2.shape[0] != w1.shape[1]
+            or b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]):
+        raise ShapeError(f"feed_forward: cannot map {x.shape} with weights "
+                         f"{w1.shape}, {w2.shape} and biases {b1.shape}, {b2.shape}")
+    x2 = x.data.reshape(-1, d)
+    pre = _affine(x2, w1, b1)
+    hidden, t = _gelu(pre)
+    out_data = _affine(hidden, w2, b2)
+
+    def backward(g):
+        g2 = g.reshape(-1, w2.shape[1])
+        _accumulate(w2, hidden.T @ g2)
+        _accumulate(b2, g2.sum(axis=0))
+        _affine_backward(x, x2, w1, b1, (g2 @ w2.data.T) * _gelu_slope(pre, t))
+
+    return _make(out_data.reshape(x.shape[:-1] + w2.shape[1:]), (x, w1, b1, w2, b2), backward)
 
 
 # --- parameters, optimizer, checkpoints ---
@@ -559,10 +616,19 @@ class ParameterSet:
             version = header.get("format_version") if isinstance(header, dict) else None
             if version != CHECKPOINT_FORMAT_VERSION:
                 raise bad(f"unsupported format_version {version!r}")
+            entries = header.get("tensors")
+            if not isinstance(entries, list):
+                raise bad("header has no 'tensors' list")
+            for i, e in enumerate(entries):
+                if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                        and isinstance(e.get("kind"), str) and isinstance(e.get("shape"), list)
+                        and all(type(n) is int and n >= 0 for n in e["shape"])):
+                    raise bad(f"tensor entry {i} needs a name, a kind and a shape of "
+                              f"non-negative integers, got {e!r}")
             ps = cls({e["name"]: np.broadcast_to(0.0, e["shape"])
-                      for e in header["tensors"] if e["kind"] == "param"})
+                      for e in entries if e["kind"] == "param"})
             layout, seen = ps._layout(), set()
-            for e, want in itertools.zip_longest(header["tensors"], layout, fillvalue={}):
+            for e, want in itertools.zip_longest(entries, layout, fillvalue={}):
                 name, kind = (e or want)["name"], (e or want)["kind"]
                 if (name, kind) in seen:
                     raise bad(f"tensor {name!r} ({kind}) is listed twice")

@@ -188,6 +188,9 @@ class TestExitCodes:
         ("truncated-payload", "'head.b' (adam_v)"),
         ("nan-param", "'backbone.b0.down.w' (param)"),
         ("header-not-json", "header is not JSON"),
+        ("entry-without-kind", "tensor entry 0 "),
+        ("float-shape", "tensor entry 1 "),
+        ("no-tensors", "no 'tensors' list"),
         ("decay-not-number", "eval.ensemble_decay"),
         ("negative-decay", "eval.ensemble_decay"),
     ])
@@ -215,6 +218,18 @@ class TestExitCodes:
             path.write_bytes(raw)
         elif probe == "header-not-json":
             path.write_bytes((3).to_bytes(8, "little") + b"abc")
+        elif probe in ("entry-without-kind", "float-shape", "no-tensors"):
+            raw = path.read_bytes()
+            hlen = int.from_bytes(raw[:8], "little")
+            header = json.loads(raw[8:8 + hlen])
+            if probe == "entry-without-kind":
+                del header["tensors"][0]["kind"]
+            elif probe == "float-shape":
+                header["tensors"][1]["shape"] = [float(n) for n in header["tensors"][1]["shape"]]
+            else:
+                del header["tensors"]
+            blob = json.dumps(header).encode("utf-8")
+            path.write_bytes(len(blob).to_bytes(8, "little") + blob + raw[8 + hlen:])
         assert main(["eval", "--policy", "act", "--checkpoint", str(path), "--n", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -89,6 +89,15 @@ class TestPositionalEncodings:
         # same column, different row: second half identical
         assert np.array_equal(pe[1][4:], pe[5][4:])
 
+    @pytest.mark.parametrize("fn, args", [(sinusoidal_pos_1d, (6, 8)),
+                                          (sinusoidal_pos_2d, (3, 4, 8))])
+    def test_cached_codes_read_only(self, fn, args):
+        pe = fn(*args)
+        assert fn(*args) is pe and not pe.flags.writeable
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
+        assert np.array_equal(pe, fn.__wrapped__(*args))  # a fresh computation
+
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
             sinusoidal_pos_1d(4, 7)

@@ -48,10 +48,32 @@ def fd_check(build, *shapes, h=1e-6, tol=1e-6, rng_seed=0):
 
 def softmax_via_attention(x):
     """softmax over the last axis of (B, T, S) x, read off the fused attention
-    op: one head, keys sqrt(S) I so the scores are x, values I."""
+    op: one head, identity query and output projections, zero biases, and keys
+    and values projected from the identity so that the scores are x and the
+    values I."""
     bsz, _, width = x.shape
-    eye = np.broadcast_to(np.eye(width), (bsz, width, width))
-    return T.multi_head_attention(x, Tensor(eye * np.sqrt(width)), Tensor(eye), 1)
+    eye, zero = Tensor(np.eye(width)), Tensor(np.zeros(width))
+    keys = Tensor(np.broadcast_to(np.eye(width), (bsz, width, width)))
+    return T.attention(x, keys, eye, zero, Tensor(np.eye(width) * np.sqrt(width)), zero,
+                       eye, zero, eye, zero, 1)
+
+
+def attention_reference(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
+    """The attention block composed from T.linear and a per-head softmax_naive."""
+    q, k, v = (T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+               for x, w, b in ((xq, wq, bq), (xkv, wk, bk), (xkv, wv, bv)))
+    dh = q.shape[-1] // n_heads
+    merged = np.empty_like(q)
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = q[..., cols] @ k[..., cols].transpose(0, 2, 1) / np.sqrt(dh)
+        merged[..., cols] = softmax_naive(scores) @ v[..., cols]
+    return T.linear(Tensor(merged), Tensor(wo), Tensor(bo)).data
+
+
+def attention_weights(rng, d):
+    """wq, bq, wk, bk, wv, bv, wo, bo for width d."""
+    return [rng.normal(size=(d, d) if i % 2 == 0 else d) for i in range(8)]
 
 
 class TestElementwise:
@@ -193,31 +215,69 @@ class TestNormalizationAttention:
 
     def test_attention_matches_composition(self):
         rng = np.random.default_rng(6)
-        bsz, tq, tk, d, n_heads = 2, 3, 5, 8, 2
-        q = rng.normal(size=(bsz, tq, d))
-        k = rng.normal(size=(bsz, tk, d))
-        v = rng.normal(size=(bsz, tk, d))
-        got = T.multi_head_attention(Tensor(q), Tensor(k), Tensor(v), n_heads).data
-        dh = d // n_heads
-        ref = np.empty((bsz, tq, d))
-        for h in range(n_heads):
-            cols = slice(h * dh, (h + 1) * dh)
-            scores = q[..., cols] @ k[..., cols].transpose(0, 2, 1) / np.sqrt(dh)
-            ref[..., cols] = softmax_naive(scores) @ v[..., cols]
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+        bsz, tq, tk, d, n_heads = 2, 3, 5, 8, 2  # dh = 4: 1/sqrt(dh) is exact
+        xq, xkv = rng.normal(size=(bsz, tq, d)), rng.normal(size=(bsz, tk, d))
+        ws = attention_weights(rng, d)
+        got = T.attention(Tensor(xq), Tensor(xkv), *map(Tensor, ws), n_heads).data
+        ref = attention_reference(xq, xkv, *ws, n_heads)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=0)
+        self_attn = T.attention(Tensor(xkv), Tensor(xkv), *map(Tensor, ws), n_heads).data
+        np.testing.assert_allclose(self_attn, attention_reference(xkv, xkv, *ws, n_heads),
+                                   rtol=0, atol=0)
 
     def test_attention_grads(self):
-        fd_check(lambda q, k, v: T.tsum(T.mul(T.multi_head_attention(q, k, v, 2),
-                                              T.multi_head_attention(q, k, v, 2))),
-                 (2, 3, 8), (2, 5, 8), (2, 5, 8), tol=1e-5)
+        def block(xq, xkv, *ws):
+            out = T.attention(xq, xkv, *ws, 2)
+            return T.tsum(T.mul(out, out))
+
+        weight_shapes = [(8, 8) if i % 2 == 0 else (8,) for i in range(8)]
+        fd_check(block, (2, 3, 8), (2, 5, 8), *weight_shapes, tol=1e-5)
+        # self-attention: the query, key and value gradients meet in one input
+        fd_check(lambda x, *ws: block(x, x, *ws), (2, 5, 8), *weight_shapes, tol=1e-5)
 
     def test_attention_shape_checks(self):
+        ws = [leaf(w) for w in attention_weights(np.random.default_rng(0), 6)]
+        with pytest.raises(ShapeError):  # 6 does not split into 4 heads
+            T.attention(leaf(np.zeros((1, 2, 6))), leaf(np.zeros((1, 3, 6))), *ws, 4)
+        with pytest.raises(ShapeError):  # key/value width differs from the query's
+            T.attention(leaf(np.zeros((1, 2, 6))), leaf(np.zeros((1, 3, 5))), *ws, 2)
+        with pytest.raises(ShapeError):  # batch sizes differ
+            T.attention(leaf(np.zeros((1, 2, 6))), leaf(np.zeros((2, 3, 6))), *ws, 2)
+        with pytest.raises(ShapeError):  # a bias of the wrong width
+            T.attention(leaf(np.zeros((1, 2, 6))), leaf(np.zeros((1, 3, 6))),
+                        *ws[:-1], leaf(np.zeros(5)), 2)
+
+    def test_feed_forward_matches_composition(self):
+        rng = np.random.default_rng(8)
+        x, w1, b1 = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 6)), rng.normal(size=6)
+        w2, b2 = rng.normal(size=(6, 5)), rng.normal(size=5)
+        leaves = [leaf(a) for a in (x, w1, b1, w2, b2)]
+        fused = T.feed_forward(*leaves)
+        T.tsum(T.mul(fused, fused)).backward()
+        twins = [leaf(a) for a in (x, w1, b1, w2, b2)]
+        composed = T.linear(T.gelu(T.linear(*twins[:3])), *twins[3:])
+        T.tsum(T.mul(composed, composed)).backward()
+        assert fused.shape == (2, 3, 5)
+        np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=0)
+        for a, b in zip(leaves, twins):
+            np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=0)
+
+    def test_feed_forward_grads(self):
+        fd_check(lambda x, w1, b1, w2, b2: T.tsum(T.mul(T.feed_forward(x, w1, b1, w2, b2),
+                                                        T.feed_forward(x, w1, b1, w2, b2))),
+                 (2, 3, 4), (4, 6), (6,), (6, 5), (5,), tol=1e-5)
+
+    def test_feed_forward_shape_checks(self):
+        x = leaf(np.zeros((2, 4)))
         with pytest.raises(ShapeError):
-            T.multi_head_attention(leaf(np.zeros((1, 2, 6))), leaf(np.zeros((1, 3, 6))),
-                                   leaf(np.zeros((1, 3, 6))), 4)
+            T.feed_forward(x, leaf(np.zeros((3, 6))), leaf(np.zeros(6)),
+                           leaf(np.zeros((6, 5))), leaf(np.zeros(5)))
         with pytest.raises(ShapeError):
-            T.multi_head_attention(leaf(np.zeros((1, 2, 6))), leaf(np.zeros((1, 3, 6))),
-                                   leaf(np.zeros((1, 4, 6))), 2)
+            T.feed_forward(x, leaf(np.zeros((4, 6))), leaf(np.zeros(6)),
+                           leaf(np.zeros((5, 5))), leaf(np.zeros(5)))
+        with pytest.raises(ShapeError):
+            T.feed_forward(x, leaf(np.zeros((4, 6))), leaf(np.zeros(5)),
+                           leaf(np.zeros((6, 5))), leaf(np.zeros(5)))
 
 
 class TestConv2d:
@@ -303,6 +363,17 @@ class TestGraph:
     def test_nonfinite_leaf_rejected(self):
         with pytest.raises(ValueError):
             Tensor(np.array([1.0, np.nan]))
+
+    def test_finiteness_check_survives_sum_overflow(self):
+        with np.errstate(over="ignore"):
+            big = Tensor(np.array([1e308, 1e308]))  # finite, but its sum overflows
+            assert np.array_equal(T.add(big, Tensor(np.zeros(2))).data, [1e308, 1e308])
+        for bad in (np.nan, np.inf, -np.inf):
+            with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError):
+                Tensor(np.array([1e308, bad]))
+        for s in (np.nan, 10.0, -10.0):  # finite input, NaN / inf / -inf output
+            with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError):
+                T.scale(Tensor(np.array([1e308, 1.0])), s)
 
 
 def rewrite_tensor_entries(path, edit):

@@ -7,7 +7,8 @@ import pytest
 from actdock.dynamics import Action, InitMode, SimConfig
 from actdock.evaluate import Episode, StepRecord
 from actdock.expert import ExpertConfig, generate_demos
-from actdock.policy import LatentStyle, init_params
+from actdock import policy
+from actdock.policy import LatentStyle, PolicyConfig, init_params
 from actdock.render import CameraModel, MarkerGeometry
 from actdock.tensor import ParameterSet, Tensor
 from actdock.training import (
@@ -91,6 +92,33 @@ class TestKL:
         assert l1.item() == pytest.approx(1.0)
         assert kl.item() == pytest.approx(0.5)
         assert total.item() == pytest.approx(1.0 + 10.0 * 0.5)
+
+
+def graph_size(root):
+    """(tensors reachable from root, those holding a backward closure)."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return len(seen), sum(node._backward is not None for node in seen.values())
+
+
+def test_default_bc_loss_graph_size():
+    """Every attention and feed-forward block is one node; splitting one again
+    (or adding nodes anywhere else) changes these counts."""
+    cfg = PolicyConfig()
+    params = init_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    states = rng.normal(size=(2, cfg.d_state))
+    targets = rng.uniform(-1.0, 1.0, size=(2, cfg.k, cfg.d_action))
+    tokens = policy.embed_observation(rng.uniform(size=(2, 1, cfg.image_height,
+                                                        cfg.image_width)), states, params, cfg)
+    style = policy.encode_style(states, targets, params, cfg, rng.normal(size=(2, cfg.d_z)))
+    pred = policy.predict_chunk(tokens, style.z, params, cfg)
+    total, _, _ = bc_loss(pred, targets, np.ones((2, cfg.k), dtype=bool), style, beta=10.0)
+    assert graph_size(total) == (292, 127)
 
 
 def fake_episode(actions, eid=0):
