@@ -136,6 +136,8 @@ def _cmd_eval(args) -> int:
     print(f"{report.policy}: n={report.n_episodes} failed={report.n_failed} "
           f"mean r_K={report.r_k_mean:.3f} m mean v_K={report.v_k_mean:.3f} m/s "
           f"smoothness={report.smoothness_mean:.3f}")
+    for episode_id, diagnostic in report.failures:
+        print(f"failed episode {episode_id}: {diagnostic}")
     return 0
 
 

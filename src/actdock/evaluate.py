@@ -19,9 +19,9 @@ from .dynamics import (
     step,
 )
 from .ensemble import ChunkBuffer, ensemble, push
-from .policy import PolicyConfig, infer_chunk
+from .policy import PolicyConfig, decoder_start, infer_chunk
 from .render import CameraModel, MarkerGeometry, render
-from .tensor import ParameterSet
+from .tensor import ParameterSet, no_grad
 
 
 @dataclass
@@ -58,7 +58,11 @@ class Episode:
 
 
 class ActController:
-    """Runs the chunk policy with temporal ensembling; queries every step."""
+    """Runs the chunk policy with temporal ensembling; queries every step.
+
+    The parameters are read once per episode: reset() computes the decoder's
+    observation-independent start from them, so a change to them takes effect
+    at the next reset()."""
 
     needs_image = True
 
@@ -71,13 +75,16 @@ class ActController:
         self.collect_trace = collect_trace
         self.buffer: ChunkBuffer | None = None
         self.trace: list | None = None
+        self.start = None
 
     def reset(self) -> None:
         self.buffer = ChunkBuffer(k=self.cfg.k, decay=self.decay)
         self.trace = [] if self.collect_trace else None
+        with no_grad():
+            self.start = decoder_start(self.params, self.cfg, 1)
 
     def act(self, state: ChaserState, t: int, image: np.ndarray) -> Action:
-        chunk = infer_chunk(image[None], state.vector(), self.params, self.cfg)
+        chunk = infer_chunk(image[None], state.vector(), self.params, self.cfg, self.start)
         push(self.buffer, chunk, t)
         if self.trace is not None:
             self.trace.append((t, chunk))
@@ -161,7 +168,8 @@ class EvalReport:
     """Terminal-condition statistics for one policy's episode batch.
 
     The r_K and v_K statistics include a failed episode's last finite state;
-    a failed episode counts as a miss at every success radius."""
+    a failed episode counts as a miss at every success radius, and `failures`
+    names each one as an (episode_id, diagnostic) pair."""
 
     policy: str
     n_episodes: int
@@ -178,10 +186,12 @@ class EvalReport:
     smoothness_mean: float
     smoothness_sd: float
     success_rates: dict = field(default_factory=dict)  # radius [m] -> fraction
+    failures: list = field(default_factory=list)  # (episode_id, diagnostic) per failed episode
 
     def as_dict(self) -> dict:
         out = dict(self.__dict__)
         out["success_rates"] = {f"{r:g}": v for r, v in self.success_rates.items()}
+        out["failures"] = [list(pair) for pair in self.failures]
         return out
 
 
@@ -212,6 +222,7 @@ def terminal_report(episodes: list[Episode],
         smoothness_sd=float(smo.std(ddof=1)) if smo.size > 1 else 0.0,
         success_rates={float(r): float(((r_k < r) & ~failed).mean())
                        for r in success_radii},
+        failures=[(ep.episode_id, ep.diagnostic) for ep in episodes if ep.failed],
     )
 
 

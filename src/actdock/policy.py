@@ -240,31 +240,23 @@ def _add_params(ps, rng, cfg: PolicyConfig) -> None:
 # --- transformer blocks ---
 
 
-def _mha(xq: Tensor, xkv: Tensor, ps: ParameterSet, name: str, cfg: PolicyConfig) -> Tensor:
-    return T.attention(xq, xkv, *(ps[f"{name}.{part}"] for part in _ATTENTION_PARTS),
-                       cfg.n_heads)
+def _attend(x: Tensor, ps: ParameterSet, layer: str, ln: str, block: str, cfg: PolicyConfig,
+            memory: Tensor | None = None) -> Tensor:
+    """x + attention through layer's `ln` norm and `block` projections; over
+    memory if given, else self-attention."""
+    return T.attention(x, ps[f"{layer}.{ln}.g"], ps[f"{layer}.{ln}.b"],
+                       *(ps[f"{layer}.{block}.{part}"] for part in _ATTENTION_PARTS),
+                       cfg.n_heads, memory)
 
 
-def _ffn(x: Tensor, ps: ParameterSet, name: str) -> Tensor:
-    return T.feed_forward(x, ps[f"{name}.ff1.w"], ps[f"{name}.ff1.b"],
-                          ps[f"{name}.ff2.w"], ps[f"{name}.ff2.b"])
+def _ffn(x: Tensor, ps: ParameterSet, layer: str, ln: str) -> Tensor:
+    return T.feed_forward(x, ps[f"{layer}.{ln}.g"], ps[f"{layer}.{ln}.b"],
+                          ps[f"{layer}.ff1.w"], ps[f"{layer}.ff1.b"],
+                          ps[f"{layer}.ff2.w"], ps[f"{layer}.ff2.b"])
 
 
 def _encoder_layer(x: Tensor, ps: ParameterSet, name: str, cfg: PolicyConfig) -> Tensor:
-    h = T.layer_norm(x, ps[f"{name}.ln1.g"], ps[f"{name}.ln1.b"])
-    x = T.add(x, _mha(h, h, ps, f"{name}.attn", cfg))
-    h = T.layer_norm(x, ps[f"{name}.ln2.g"], ps[f"{name}.ln2.b"])
-    return T.add(x, _ffn(h, ps, name))
-
-
-def _decoder_layer(x: Tensor, memory: Tensor, ps: ParameterSet, name: str,
-                   cfg: PolicyConfig) -> Tensor:
-    h = T.layer_norm(x, ps[f"{name}.ln1.g"], ps[f"{name}.ln1.b"])
-    x = T.add(x, _mha(h, h, ps, f"{name}.self", cfg))
-    h = T.layer_norm(x, ps[f"{name}.ln2.g"], ps[f"{name}.ln2.b"])
-    x = T.add(x, _mha(h, memory, ps, f"{name}.cross", cfg))
-    h = T.layer_norm(x, ps[f"{name}.ln3.g"], ps[f"{name}.ln3.b"])
-    return T.add(x, _ffn(h, ps, name))
+    return _ffn(_attend(x, ps, name, "ln1", "attn", cfg), ps, name, "ln2")
 
 
 # --- observation tokenization ---
@@ -369,8 +361,18 @@ def encode_style(state: np.ndarray, actions: np.ndarray, ps: ParameterSet,
 # --- chunk prediction ---
 
 
-def predict_chunk(obs_tokens: Tensor, z, ps: ParameterSet, cfg: PolicyConfig) -> Tensor:
-    """Predicted action chunk (B, k, d_action), tanh-squashed to actuator bounds."""
+def decoder_start(ps: ParameterSet, cfg: PolicyConfig, bsz: int) -> Tensor:
+    """Decoder layer 0's state after its self-attention block, (bsz, k, d_model).
+    It reads only dec.query and that block's parameters, never the observation."""
+    queries = T.add(Tensor(np.zeros((bsz, cfg.k, cfg.d_model))), ps["dec.query"])
+    return _attend(queries, ps, "dec.layers.0", "ln1", "self", cfg)
+
+
+def predict_chunk(obs_tokens: Tensor, z, ps: ParameterSet, cfg: PolicyConfig,
+                  start: Tensor | None = None) -> Tensor:
+    """Predicted action chunk (B, k, d_action), tanh-squashed to actuator bounds.
+
+    `start` is decoder_start(ps, cfg, B), computed here when omitted."""
     if not isinstance(z, Tensor):
         z = Tensor(np.asarray(z, dtype=np.float64))
     if z.ndim == 1:
@@ -385,23 +387,27 @@ def predict_chunk(obs_tokens: Tensor, z, ps: ParameterSet, cfg: PolicyConfig) ->
         x = _encoder_layer(x, ps, f"enc.layers.{i}", cfg)
     memory = T.layer_norm(x, ps["enc.ln.g"], ps["enc.ln.b"])
 
-    queries = T.add(Tensor(np.zeros((bsz, cfg.k, d))), ps["dec.query"])
-    y = queries
+    y = decoder_start(ps, cfg, bsz) if start is None else start
     for i in range(cfg.n_layers_dec):
-        y = _decoder_layer(y, memory, ps, f"dec.layers.{i}", cfg)
+        name = f"dec.layers.{i}"
+        if i > 0:
+            y = _attend(y, ps, name, "ln1", "self", cfg)
+        y = _attend(y, ps, name, "ln2", "cross", cfg, memory)
+        y = _ffn(y, ps, name, "ln3")
     y = T.layer_norm(y, ps["dec.ln.g"], ps["dec.ln.b"])
     raw = T.linear(y, ps["head.w"], ps["head.b"])
     return T.mul(T.tanh(raw), Tensor(cfg.action_scale_vec()))
 
 
 def infer_chunk(images: np.ndarray, state: np.ndarray, ps: ParameterSet,
-                cfg: PolicyConfig) -> np.ndarray:
+                cfg: PolicyConfig, start: Tensor | None = None) -> np.ndarray:
     """Inference-time (k, d_action) chunk for a single observation; style z is
-    zero and no autodiff graph is recorded."""
+    zero and no autodiff graph is recorded. `start` is decoder_start(ps, cfg, 1),
+    computed here when omitted."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 3:
         images = images[None]
     with T.no_grad():
         tokens = embed_observation(images, state, ps, cfg)
-        out = predict_chunk(tokens, np.zeros((1, cfg.d_z)), ps, cfg)
+        out = predict_chunk(tokens, np.zeros((1, cfg.d_z)), ps, cfg, start)
     return out.data[0]

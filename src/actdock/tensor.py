@@ -9,8 +9,9 @@ built fresh each forward pass and discarded with the result.
 The op set is exactly what the docking policy needs: elementwise arithmetic,
 reshape/transpose/concat/indexing, a one-node affine map over the last axis,
 layer normalization, GELU/tanh activations, the reductions used by the L1 and
-KL losses, and two transformer blocks as one node each: multi-head attention
-with its four projections, and the linear -> GELU -> linear feed-forward.
+KL losses, and the two pre-norm transformer blocks as one node each: layer
+norm -> multi-head attention with its four projections -> residual add, and
+layer norm -> linear -> GELU -> linear -> residual add.
 Inside ``no_grad()`` ops record no graph.
 """
 
@@ -355,31 +356,43 @@ def gelu(a) -> Tensor:
 # --- normalization, transformer blocks ---
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply elementwise gain and bias."""
-    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
+def _layer_norm(op: str, x: np.ndarray, gain: Tensor, bias: Tensor, eps: float = 1e-5):
+    """Layer normalization of x over its last axis with elementwise gain and
+    bias: (output, normalized x, 1 / std), the last two for the backward."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layer_norm: gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}"
-        )
+        raise ShapeError(f"{op}: layer-norm gain/bias must have shape ({d},), "
+                         f"got {gain.shape}/{bias.shape}")
     # sum / d is exactly what mean computes, without its dispatch
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    xc = x - x.sum(axis=-1, keepdims=True) / d
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out_data = gain.data * xhat + bias.data
+    return gain.data * xhat + bias.data, xhat, inv
+
+
+def _layer_norm_backward(gain: Tensor, bias: Tensor, xhat: np.ndarray, inv: np.ndarray,
+                         g: np.ndarray) -> np.ndarray:
+    """Accumulates the gain and bias gradients for output gradient g and
+    returns the input's, given _layer_norm's normalized x and 1 / std."""
+    d = xhat.shape[-1]
+    _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+    _accumulate(bias, g.reshape(-1, d).sum(axis=0))
+    gy = g * gain.data
+    return inv * (
+        gy
+        - gy.sum(axis=-1, keepdims=True) / d
+        - xhat * (gy * xhat).sum(axis=-1, keepdims=True) / d
+    )
+
+
+def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis, then apply elementwise gain and bias."""
+    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
+    out_data, xhat, inv = _layer_norm("layer_norm", x.data, gain, bias, eps)
 
     def backward(g):
-        _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        _accumulate(bias, g.reshape(-1, d).sum(axis=0))
-        gy = g * gain.data
-        gx = inv * (
-            gy
-            - gy.sum(axis=-1, keepdims=True) / d
-            - xhat * (gy * xhat).sum(axis=-1, keepdims=True) / d
-        )
-        _accumulate(x, gx)
+        _accumulate(x, _layer_norm_backward(gain, bias, xhat, inv, g))
 
     return _make(out_data, (x, gain, bias), backward)
 
@@ -391,27 +404,34 @@ def _affine(x2: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
     return out
 
 
-def _affine_backward(x: Tensor, x2: np.ndarray, w: Tensor, b: Tensor, g2: np.ndarray) -> None:
-    """Gradients of x2 @ w + b, x2 the flattened x, for output gradient g2."""
+def _affine_backward(x2: np.ndarray, w: Tensor, b: Tensor, g2: np.ndarray) -> np.ndarray:
+    """Accumulates the gradients of w and b in x2 @ w + b for output gradient
+    g2 and returns x2's."""
     _accumulate(w, x2.T @ g2)
     _accumulate(b, g2.sum(axis=0))
-    _accumulate(x, (g2 @ w.data.T).reshape(x.shape))
+    return g2 @ w.data.T
 
 
-def attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, n_heads: int) -> Tensor:
-    """Multi-head attention block: (softmax(q_h k_h^T / sqrt(dh)) v_h, heads
-    merged) @ wo + bo, with q = xq @ wq + bq, k = xkv @ wk + bk, v = xkv @ wv + bv.
+def attention(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads: int,
+              memory=None) -> Tensor:
+    """Pre-norm attention block, x + MHA(h, kv) with h = layer_norm(x, gain, bias):
+    kv is memory (cross-attention), or h itself when memory is None (self-attention).
 
-    xq: (B, T, d), xkv: (B, S, d), every w (d, d), every b (d,); head h is the
-    slice h*dh:(h+1)*dh of the last axis, dh = d / n_heads. Returns (B, T, d).
-    One node: projections, head split, softmax, weighted sum, head merge and
-    output projection share one backward."""
-    xq, xkv = _coerce(xq), _coerce(xkv)
+    MHA(h, kv) is (softmax(q_h k_h^T / sqrt(dh)) v_h, heads merged) @ wo + bo,
+    with q = h @ wq + bq, k = kv @ wk + bk, v = kv @ wv + bv. x: (B, T, d),
+    memory: (B, S, d), every w (d, d), every b (d,); head h is the slice
+    h*dh:(h+1)*dh of the last axis, dh = d / n_heads. Returns (B, T, d).
+    One node: the norm, projections, softmax, output projection and residual
+    share one backward."""
+    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
     ps = wq, bq, wk, bk, wv, bv, wo, bo = tuple(map(_coerce, (wq, bq, wk, bk, wv, bv, wo, bo)))
-    if xq.ndim != 3 or xkv.ndim != 3 or xkv.shape[::2] != xq.shape[::2]:
-        raise ShapeError(f"attention: need xq (B,T,d), xkv (B,S,d); got {xq.shape}, {xkv.shape}")
-    bsz, tq, d = xq.shape
-    tk = xkv.shape[1]
+    if memory is not None:
+        memory = _coerce(memory)
+    kv_shape = x.shape if memory is None else memory.shape
+    if x.ndim != 3 or len(kv_shape) != 3 or kv_shape[::2] != x.shape[::2]:
+        raise ShapeError(f"attention: need x (B,T,d), memory (B,S,d); got {x.shape}, {kv_shape}")
+    bsz, tq, d = x.shape
+    tk = kv_shape[1]
     if {w.shape for w in ps[0::2]} != {(d, d)} or {b.shape for b in ps[1::2]} != {(d,)}:
         raise ShapeError(f"attention: width {d} needs ({d}, {d}) weights and ({d},) biases, "
                          f"got {[p.shape for p in ps]}")
@@ -419,16 +439,18 @@ def attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, n_heads: int) -> Tensor:
         raise ShapeError(f"attention: width {d} does not split into {n_heads} heads")
     dh = d // n_heads
 
-    def heads(x, tlen):  # (B*t, d) -> (B, h, t, dh)
-        return x.reshape(bsz, tlen, n_heads, dh).transpose(0, 2, 1, 3)
+    def heads(a, tlen):  # (B*t, d) -> (B, h, t, dh)
+        return a.reshape(bsz, tlen, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x, tlen):  # (B, h, t, dh) -> (B*t, d)
-        return x.transpose(0, 2, 1, 3).reshape(bsz * tlen, d)
+    def merge(a, tlen):  # (B, h, t, dh) -> (B*t, d)
+        return a.transpose(0, 2, 1, 3).reshape(bsz * tlen, d)
 
-    xq2, xkv2 = xq.data.reshape(-1, d), xkv.data.reshape(-1, d)
-    qh = heads(_affine(xq2, wq, bq), tq)
-    kh = heads(_affine(xkv2, wk, bk), tk)
-    vh = heads(_affine(xkv2, wv, bv), tk)
+    x2 = x.data.reshape(-1, d)
+    h2, xhat, inv = _layer_norm("attention", x2, gain, bias)
+    kv2 = h2 if memory is None else memory.data.reshape(-1, d)
+    qh = heads(_affine(h2, wq, bq), tq)
+    kh = heads(_affine(kv2, wk, bk), tk)
+    vh = heads(_affine(kv2, wv, bv), tk)
     c = 1.0 / math.sqrt(dh)
     s = np.matmul(qh, kh.swapaxes(-1, -2))
     s *= c
@@ -444,34 +466,47 @@ def attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, n_heads: int) -> Tensor:
         gh = heads(g2 @ wo.data.T, tq)
         t = np.matmul(gh, vh.swapaxes(-1, -2)) * s
         gscores = (t - s * t.sum(axis=-1, keepdims=True)) * c
-        _affine_backward(xq, xq2, wq, bq, merge(np.matmul(gscores, kh), tq))
-        _affine_backward(xkv, xkv2, wk, bk, merge(np.matmul(gscores.swapaxes(-1, -2), qh), tk))
-        _affine_backward(xkv, xkv2, wv, bv, merge(np.matmul(s.swapaxes(-1, -2), gh), tk))
+        gh2 = _affine_backward(h2, wq, bq, merge(np.matmul(gscores, kh), tq))
+        gk = _affine_backward(kv2, wk, bk, merge(np.matmul(gscores.swapaxes(-1, -2), qh), tk))
+        gv = _affine_backward(kv2, wv, bv, merge(np.matmul(s.swapaxes(-1, -2), gh), tk))
+        if memory is None:  # h's gradient sums as (q-part + k-part) + v-part
+            gh2 += gk
+            gh2 += gv
+        else:
+            _accumulate(memory, gk.reshape(memory.shape))
+            _accumulate(memory, gv.reshape(memory.shape))
+        _accumulate(x, (g2 + _layer_norm_backward(gain, bias, xhat, inv, gh2)).reshape(x.shape))
 
-    out_data = _affine(o2, wo, bo).reshape(bsz, tq, d)
-    return _make(out_data, (xq, xkv) + ps, backward)
+    out_data = _affine(o2, wo, bo)
+    out_data += x2
+    parents = (x, gain, bias) + ps + (() if memory is None else (memory,))
+    return _make(out_data.reshape(x.shape), parents, backward)
 
 
-def feed_forward(x, w1, b1, w2, b2) -> Tensor:
-    """gelu(x @ w1 + b1) @ w2 + b2 on the last axis, as one node."""
-    x, w1, b1, w2, b2 = map(_coerce, (x, w1, b1, w2, b2))
+def feed_forward(x, gain, bias, w1, b1, w2, b2) -> Tensor:
+    """Pre-norm feed-forward block, x + gelu(h @ w1 + b1) @ w2 + b2 with
+    h = layer_norm(x, gain, bias) on the last axis, as one node."""
+    x, gain, bias, w1, b1, w2, b2 = map(_coerce, (x, gain, bias, w1, b1, w2, b2))
     d = x.shape[-1]
-    if (w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != d or w2.shape[0] != w1.shape[1]
-            or b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]):
+    if (w1.ndim != 2 or w1.shape[0] != d or w2.shape != w1.shape[::-1]
+            or b1.shape != w1.shape[1:] or b2.shape != (d,)):
         raise ShapeError(f"feed_forward: cannot map {x.shape} with weights "
                          f"{w1.shape}, {w2.shape} and biases {b1.shape}, {b2.shape}")
     x2 = x.data.reshape(-1, d)
-    pre = _affine(x2, w1, b1)
+    h2, xhat, inv = _layer_norm("feed_forward", x2, gain, bias)
+    pre = _affine(h2, w1, b1)
     hidden, t = _gelu(pre)
     out_data = _affine(hidden, w2, b2)
+    out_data += x2
 
     def backward(g):
-        g2 = g.reshape(-1, w2.shape[1])
+        g2 = g.reshape(-1, d)
         _accumulate(w2, hidden.T @ g2)
         _accumulate(b2, g2.sum(axis=0))
-        _affine_backward(x, x2, w1, b1, (g2 @ w2.data.T) * _gelu_slope(pre, t))
+        gh2 = _affine_backward(h2, w1, b1, (g2 @ w2.data.T) * _gelu_slope(pre, t))
+        _accumulate(x, (g2 + _layer_norm_backward(gain, bias, xhat, inv, gh2)).reshape(x.shape))
 
-    return _make(out_data.reshape(x.shape[:-1] + w2.shape[1:]), (x, w1, b1, w2, b2), backward)
+    return _make(out_data.reshape(x.shape), (x, gain, bias, w1, b1, w2, b2), backward)
 
 
 # --- parameters, optimizer, checkpoints ---

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from actdock.config import default_run_config
-from actdock.dynamics import ChaserState, SimConfig
+from actdock.dynamics import Action, ChaserState, SimConfig
+from actdock.evaluate import Episode, StepRecord
 from actdock.policy import PolicyConfig
 
 # one line per acceptance criterion, echoed after the test summary
@@ -58,3 +59,22 @@ def tiny_policy_config(**overrides):
     )
     kw.update(overrides)
     return PolicyConfig(**kw)
+
+
+FAILED_DIAGNOSTIC = "step 1: propagation produced a non-finite state"
+
+
+def docked_and_failed():
+    """Two 2-step expert episodes: episode 0 ends 0.05 m from the port;
+    episode 1 failed at step 1, its last finite state 50 m out."""
+    def episode(eid, r_final):
+        records = [StepRecord(state=make_state(r=(0.0, -25.0 + i, 0.0)),
+                              action=Action.from_vector(np.full(6, float(i))), dt=0.9)
+                   for i in range(2)]
+        return Episode(episode_id=eid, seed=0, policy="expert", records=records,
+                       final_state=make_state(r=r_final))
+
+    docked, failed = episode(0, (0.0, -0.05, 0.0)), episode(1, (0.0, -50.0, 0.0))
+    failed.failed = True
+    failed.diagnostic = FAILED_DIAGNOSTIC
+    return docked, failed

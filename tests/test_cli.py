@@ -14,6 +14,8 @@ from actdock.cli import main
 from actdock.tensor import ParameterSet
 from actdock.training import load_policy
 
+from conftest import FAILED_DIAGNOSTIC, docked_and_failed
+
 TINY_CONFIG = {
     "format_version": 1,
     "seed": 0,
@@ -72,6 +74,7 @@ class TestPipeline:
         assert rep["policy"] == "act"
         assert rep["n_episodes"] == 2
         assert set(rep["success_rates"]) == {"0.8", "2", "4"}
+        assert len(rep["failures"]) == rep["n_failed"]
 
     def test_eval_episode_and_smoothness_files(self, workdir):
         eps = dataio.read_episodes(workdir / "eval.ndjson")
@@ -85,6 +88,17 @@ class TestPipeline:
                      "--report", str(workdir / "expert.json")] + cfg) == 0
         doc = json.loads((workdir / "expert.json").read_text(encoding="utf-8"))
         assert doc["report"]["policy"] == "expert"
+
+    def test_eval_names_failed_episodes(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(actdock.cli, "run_episodes", lambda *args: list(docked_and_failed()))
+        report = workdir / "failed.json"
+        assert main(["eval", "--policy", "expert", "--n", "2", "--report", str(report),
+                     "--config", str(workdir / "run.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"failed episode 1: {FAILED_DIAGNOSTIC}"
+        assert "failed=1" in lines[-2]
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        assert doc["report"]["failures"] == [[1, FAILED_DIAGNOSTIC]]
 
     def test_chatter_policy_label(self, workdir):
         cfg = ["--config", str(workdir / "run.json")]

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actdock.dataio import (
     EPISODE_FORMAT_VERSION,
@@ -14,7 +18,8 @@ from actdock.dataio import (
     write_episodes,
     write_heatmap_csv,
 )
-from actdock.dynamics import InitMode, SimConfig
+from actdock.dynamics import Action, ChaserState, InitMode, SimConfig
+from actdock.evaluate import Episode, StepRecord
 from actdock.expert import ExpertConfig, generate_demos
 
 
@@ -53,6 +58,53 @@ class TestEpisodeRoundTrip:
         spaced = "\n\n".join(path.read_text(encoding="utf-8").splitlines())
         path.write_text(spaced + "\n", encoding="utf-8")
         assert len(read_episodes(path)) == 1
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_states(draw):
+    """Any finite r, v and w; q a random direction scaled to unit length."""
+    q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    norm = np.linalg.norm(q)
+    if norm < 0.1:
+        q, norm = np.array([1.0, 0.0, 0.0, 0.0]), 1.0
+    r, v, w = (draw(st.lists(FINITE, min_size=3, max_size=3)) for _ in range(3))
+    return ChaserState(r=r, v=v, q=q / norm, w=w)
+
+
+@st.composite
+def random_episodes(draw, episode_id):
+    records = [StepRecord(state=draw(random_states()),
+                          action=Action.from_vector(draw(st.lists(FINITE, min_size=6,
+                                                                  max_size=6))),
+                          dt=draw(FINITE))
+               for _ in range(draw(st.integers(1, 4)))]
+    return Episode(episode_id=episode_id, seed=draw(st.integers(0, 2**63 - 1)),
+                   policy=draw(st.text(max_size=8)), records=records,
+                   final_state=draw(random_states()), failed=draw(st.booleans()),
+                   diagnostic=draw(st.text(max_size=20)))
+
+
+class TestEpisodeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_episodes_round_trip_bit_for_bit(self, data):
+        episodes = [data.draw(random_episodes(i)) for i in range(data.draw(st.integers(1, 3)))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "episodes.ndjson"
+            write_episodes(path, episodes)
+            back = read_episodes(path)
+        assert len(back) == len(episodes)
+        for a, b in zip(episodes, back):
+            assert (a.episode_id, a.seed, a.policy, a.failed, a.diagnostic, a.steps) == \
+                (b.episode_id, b.seed, b.policy, b.failed, b.diagnostic, b.steps)
+            assert a.final_state.vector().tobytes() == b.final_state.vector().tobytes()
+            for ra, rb in zip(a.records, b.records):
+                assert ra.state.vector().tobytes() == rb.state.vector().tobytes()
+                assert ra.action.vector().tobytes() == rb.action.vector().tobytes()
+                assert np.float64(ra.dt).tobytes() == np.float64(rb.dt).tobytes()
 
 
 def _write_lines(path, lines):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actdock.ensemble import ChunkBuffer, ensemble, push
 
@@ -104,3 +106,37 @@ class TestWeighting:
         w /= w.sum()
         expected = w[0] * np.array([4.0, -4.0]) + w[1] * np.array([2.0, -2.0])
         np.testing.assert_allclose(ensemble(buf, 1), expected, atol=1e-12)
+
+
+class TestProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_blend_is_the_renormalized_convex_combination(self, data):
+        """At every step, the ensembled action is sum_i w_i p_i over the chunks
+        covering it, newest first, with w_i = exp(-m i) / sum_j exp(-m j), and
+        lies within each component's min and max over those predictions."""
+        k = data.draw(st.integers(1, 8), label="k")
+        decay = data.draw(st.floats(0.0, 5.0), label="decay")
+        dim = data.draw(st.integers(1, 6), label="dim")
+        gaps = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=20), label="gaps")
+        values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        buf = ChunkBuffer(k=k, decay=decay)
+        emitted = {}
+        step = -1
+        for gap in gaps:
+            step += gap
+            chunk = np.array(data.draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                                                min_size=k, max_size=k)))
+            emitted[step] = chunk
+            push(buf, chunk, step)
+            for t in range(step, step + k):  # every step the newest chunk covers
+                covering = [emitted[e][t - e] for e in sorted(emitted, reverse=True)
+                            if 0 <= t - e < k][:k]
+                w = np.exp(-decay * np.arange(len(covering)))
+                w /= w.sum()
+                preds = np.array(covering)
+                out = ensemble(buf, t)
+                slack = 1e-12 * max(1.0, np.abs(preds).max())
+                np.testing.assert_allclose(out, w @ preds, rtol=0, atol=slack)
+                assert (out >= preds.min(axis=0) - slack).all()
+                assert (out <= preds.max(axis=0) + slack).all()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from actdock.config import default_run_config
 from actdock.dynamics import Action, InitMode, SimConfig
 from actdock.evaluate import (
     ActController,
@@ -17,10 +18,10 @@ from actdock.evaluate import (
 )
 from actdock.ensemble import ChunkBuffer, ensemble, push
 from actdock.expert import ExpertConfig, ExpertController
-from actdock.policy import init_params
-from actdock.render import CameraModel, MarkerGeometry
+from actdock.policy import infer_chunk, init_params
+from actdock.render import CameraModel, MarkerGeometry, render
 
-from conftest import make_state, tiny_policy_config
+from conftest import FAILED_DIAGNOSTIC, docked_and_failed, make_state, tiny_policy_config
 
 
 def stub_episode(actions, positions=None, policy="expert", final=None, eid=0):
@@ -110,6 +111,39 @@ class TestActControllerLoop:
             assert np.all(np.abs(rec.action.vector()) <= scale + 1e-12)
 
 
+class TestActControllerStart:
+    """ActController computes the decoder's start once per episode, in reset()."""
+
+    def test_episode_chunks_equal_infer_chunk_without_start(self):
+        run = default_run_config()
+        cfg = run.policy
+        params = init_params(cfg, seed=0)
+        ctrl = ActController(params, cfg, collect_trace=True)
+        ep = rollout(ctrl, InitMode.SAME, 3, run.sim, run.camera, run.marker)
+        assert ep.steps == run.sim.horizon
+        for (t, chunk), rec in zip(ep.chunk_trace, ep.records):
+            image = render(rec.state, run.camera, run.marker)[None]
+            assert np.array_equal(chunk, infer_chunk(image, rec.state.vector(), params, cfg)), t
+
+    def test_parameters_read_at_reset(self):
+        cfg = tiny_policy_config()
+        params = init_params(cfg, seed=0)
+        cam = CameraModel(f=8.0, cx=4.0, cy=4.0, width=8, height=8)
+        state = make_state()
+        image = render(state, cam, MarkerGeometry())
+        ctrl = ActController(params, cfg)
+        ctrl.reset()
+        before = ctrl.act(state, 0, image).vector()
+        for _, t in params.items():
+            t.grad = np.ones_like(t.data)
+        params.adam_step(lr=1e-2)
+        ctrl.reset()
+        after = ctrl.act(state, 0, image).vector()
+        fresh = infer_chunk(image[None], state.vector(), params, cfg)[0]
+        assert np.array_equal(after, fresh)
+        assert not np.array_equal(after, before)
+
+
 class TestSmoothness:
     def test_hand_value(self):
         # consecutive action deltas: (3,4,0,...) and (0,0,12,5,0,0)
@@ -189,18 +223,21 @@ class TestTerminalReport:
             terminal_report([])
 
     def test_failed_episode_counts_as_miss(self):
-        docked = stub_episode([(0,) * 6, (1,) * 6],
-                              final=make_state(r=(0.0, -0.05, 0.0)), eid=0)
-        failed = stub_episode([(0,) * 6, (1,) * 6],
-                              final=make_state(r=(0.0, -50.0, 0.0)), eid=1)
-        failed.failed = True
-        failed.diagnostic = "step 1: propagation produced a non-finite state"
+        docked, failed = docked_and_failed()
         rep = terminal_report([docked, failed], success_radii=(0.8, 100.0))
         assert rep.n_failed == 1
         assert rep.success_rates == {0.8: 0.5, 100.0: 0.5}
         assert rep.r_k_mean == pytest.approx(25.025)  # last finite state still counts
         assert rep.as_dict()["n_failed"] == 1
         assert terminal_report([docked]).n_failed == 0
+
+    def test_failed_episodes_named(self):
+        docked, failed = docked_and_failed()
+        rep = terminal_report([docked, failed])
+        assert rep.failures == [(1, FAILED_DIAGNOSTIC)]
+        assert rep.as_dict()["failures"] == [[1, FAILED_DIAGNOSTIC]]
+        assert terminal_report([docked]).failures == []
+        assert terminal_report([docked]).as_dict()["failures"] == []
 
     def test_as_dict_serializes_radii(self):
         eps = [stub_episode([(0,) * 6, (1,) * 6])]

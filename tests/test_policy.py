@@ -19,7 +19,7 @@ import actdock.tensor as T
 from actdock.tensor import Tensor
 
 from conftest import tiny_policy_config
-from oracles import conv2d_naive, softmax_naive
+from oracles import conv2d_naive, layer_norm_naive, softmax_naive
 
 
 @pytest.fixture(scope="module")
@@ -179,24 +179,31 @@ class TestChannelsLastBackbone:
 
 class TestFusedAttentionBlock:
     def test_matches_per_node_composition(self, cfg, params):
-        """_mha against the per-node form it replaced: batched matmul + bias,
-        per-head softmax, head merge. Agreement is at rounding level."""
+        """_attend against the per-node form it replaced: layer norm, batched
+        matmul + bias, per-head softmax, head merge, residual add; cross- and
+        self-attention. Agreement is at rounding level."""
         rng = np.random.default_rng(14)
-        xq = rng.normal(size=(2, 3, cfg.d_model))
-        xkv = rng.normal(size=(2, 5, cfg.d_model))
-        p = {part: params[f"enc.layers.0.attn.{part}"].data
-             for part in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
+        layer = "dec.layers.1"
         h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
 
-        def split(x):
-            return x.reshape(x.shape[0], x.shape[1], h, dh).transpose(0, 2, 1, 3)
+        def split(a):
+            return a.reshape(a.shape[0], a.shape[1], h, dh).transpose(0, 2, 1, 3)
 
-        q, k, v = (split(x @ p[f"w{c}"] + p[f"b{c}"]) for c, x in
-                   (("q", xq), ("k", xkv), ("v", xkv)))
-        heads = softmax_naive(q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)) @ v
-        ref = heads.transpose(0, 2, 1, 3).reshape(xq.shape) @ p["wo"] + p["bo"]
-        got = policy_mod._mha(Tensor(xq), Tensor(xkv), params, "enc.layers.0.attn", cfg).data
-        np.testing.assert_allclose(got, ref, rtol=0, atol=2e-14)
+        for ln, block, memory in (("ln2", "cross", rng.normal(size=(2, 5, cfg.d_model))),
+                                  ("ln1", "self", None)):
+            x = rng.normal(size=(2, 3, cfg.d_model))
+            p = {part: params[f"{layer}.{block}.{part}"].data
+                 for part in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
+            normed = layer_norm_naive(x, params[f"{layer}.{ln}.g"].data,
+                                      params[f"{layer}.{ln}.b"].data)
+            kv = normed if memory is None else memory
+            q, k, v = (split(a @ p[f"w{c}"] + p[f"b{c}"]) for c, a in
+                       (("q", normed), ("k", kv), ("v", kv)))
+            heads = softmax_naive(q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)) @ v
+            ref = x + heads.transpose(0, 2, 1, 3).reshape(x.shape) @ p["wo"] + p["bo"]
+            got = policy_mod._attend(Tensor(x), params, layer, ln, block, cfg,
+                                     None if memory is None else Tensor(memory)).data
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14, err_msg=block)
 
 
 class TestEmbedObservation:
@@ -315,3 +322,28 @@ class TestInferChunk:
         grad_mode = real(tokens, np.zeros((1, cfg.d_z)), params, cfg)
         assert grad_mode.requires_grad
         assert np.array_equal(chunk, grad_mode.data[0])
+
+    def test_batched_predict_matches_single_infer(self):
+        """predict_chunk on 8 observations at z = 0 against 8 B=1 infer_chunk
+        calls. Not bit-exact: the GEMMs run at another row count, which moves
+        results at the ulp level (up to 3.2e-14 N over six seeds with
+        OpenBLAS 0.3.31); 1e-12 N pins that."""
+        cfg = PolicyConfig()
+        params = init_params(cfg, seed=1)
+        images, states = obs_batch(cfg, bsz=8, seed=1)
+        with T.no_grad():
+            tokens = embed_observation(images, states, params, cfg)
+            batch = predict_chunk(tokens, np.zeros((8, cfg.d_z)), params, cfg).data
+        single = np.stack([infer_chunk(images[i], states[i], params, cfg) for i in range(8)])
+        np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
+
+    def test_given_start_is_the_computed_one(self, cfg, params):
+        images, states = obs_batch(cfg, bsz=1)
+        with T.no_grad():
+            start = policy_mod.decoder_start(params, cfg, 1)
+        assert start.shape == (1, cfg.k, cfg.d_model)
+        assert np.array_equal(infer_chunk(images[0], states[0], params, cfg, start),
+                              infer_chunk(images[0], states[0], params, cfg))
+        with pytest.raises(T.ShapeError):  # a start for another batch size
+            infer_chunk(images[0], states[0], params, cfg,
+                        policy_mod.decoder_start(params, cfg, 2))

@@ -47,33 +47,94 @@ def fd_check(build, *shapes, h=1e-6, tol=1e-6, rng_seed=0):
 
 
 def softmax_via_attention(x):
-    """softmax over the last axis of (B, T, S) x, read off the fused attention
-    op: one head, identity query and output projections, zero biases, and keys
-    and values projected from the identity so that the scores are x and the
-    values I."""
-    bsz, _, width = x.shape
+    """softmax over the last axis of (B, S) x, read off a cross-attention block
+    with one head and width 1 + S. The block input is zero, so the residual adds
+    nothing, and wq is zero, so the query is its bias sqrt(1 + S) e0 whatever
+    the layer norm gives. Memory row j is [x_j, e_j]: wk keeps column 0, so the
+    scores are x, and wv is the identity, so columns 1.. of the output are the
+    attention weights."""
+    bsz, n = x.shape
+    width = n + 1
     eye, zero = Tensor(np.eye(width)), Tensor(np.zeros(width))
-    keys = Tensor(np.broadcast_to(np.eye(width), (bsz, width, width)))
-    return T.attention(x, keys, eye, zero, Tensor(np.eye(width) * np.sqrt(width)), zero,
-                       eye, zero, eye, zero, 1)
+    memory = T.concat([T.reshape(x, (bsz, n, 1)),
+                       Tensor(np.broadcast_to(np.eye(n), (bsz, n, n)))], axis=2)
+    key = np.zeros((width, width))
+    key[0, 0] = 1.0
+    query_bias = np.zeros(width)
+    query_bias[0] = np.sqrt(width)
+    out = T.attention(Tensor(np.zeros((bsz, 1, width))), Tensor(np.ones(width)), zero,
+                      Tensor(np.zeros((width, width))), Tensor(query_bias), Tensor(key), zero,
+                      eye, zero, eye, zero, 1, memory)
+    return out[:, 0, 1:]
 
 
-def attention_reference(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
-    """The attention block composed from T.linear and a per-head softmax_naive."""
-    q, k, v = (T.linear(Tensor(x), Tensor(w), Tensor(b)).data
-               for x, w, b in ((xq, wq, bq), (xkv, wk, bk), (xkv, wv, bv)))
+def _heads_core(q, k, v, n_heads):
+    """softmax(q_h k_h^T / sqrt(dh)) v_h per head, merged: the attention core
+    between the projections, as its own node. The forward takes each head's
+    softmax from softmax_naive; the backward spells the softmax Jacobian-vector
+    product the way T.attention does, so that the composed block's gradients can
+    be compared with the fused one's bit for bit."""
     dh = q.shape[-1] // n_heads
-    merged = np.empty_like(q)
-    for h in range(n_heads):
-        cols = slice(h * dh, (h + 1) * dh)
-        scores = q[..., cols] @ k[..., cols].transpose(0, 2, 1) / np.sqrt(dh)
-        merged[..., cols] = softmax_naive(scores) @ v[..., cols]
-    return T.linear(Tensor(merged), Tensor(wo), Tensor(bo)).data
+    heads = [slice(h * dh, (h + 1) * dh) for h in range(n_heads)]
+    probs = [softmax_naive(q.data[..., c] @ k.data[..., c].transpose(0, 2, 1) / np.sqrt(dh))
+             for c in heads]
+    out = np.empty_like(q.data)
+    for c, p in zip(heads, probs):
+        out[..., c] = p @ v.data[..., c]
+
+    def backward(g):
+        gq, gk, gv = (np.empty_like(t.data) for t in (q, k, v))
+        for c, p in zip(heads, probs):
+            t = (g[..., c] @ v.data[..., c].transpose(0, 2, 1)) * p
+            gscores = (t - p * t.sum(axis=-1, keepdims=True)) * (1.0 / np.sqrt(dh))
+            gq[..., c] = gscores @ k.data[..., c]
+            gk[..., c] = gscores.transpose(0, 2, 1) @ q.data[..., c]
+            gv[..., c] = p.transpose(0, 2, 1) @ g[..., c]
+        T._accumulate(q, gq)
+        T._accumulate(k, gk)
+        T._accumulate(v, gv)
+
+    return T._make(out, (q, k, v), backward)
 
 
-def attention_weights(rng, d):
-    """wq, bq, wk, bk, wv, bv, wo, bo for width d."""
-    return [rng.normal(size=(d, d) if i % 2 == 0 else d) for i in range(8)]
+def attention_reference(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, memory=None):
+    """The pre-norm attention block composed node by node: T.layer_norm, T.linear
+    projections, the per-head core, T.linear, T.add."""
+    h = T.layer_norm(x, gain, bias)
+    kv = h if memory is None else memory
+    core = _heads_core(T.linear(h, wq, bq), T.linear(kv, wk, bk), T.linear(kv, wv, bv), n_heads)
+    return T.add(x, T.linear(core, wo, bo))
+
+
+def feed_forward_reference(x, gain, bias, w1, b1, w2, b2):
+    """The pre-norm feed-forward block composed node by node."""
+    h = T.layer_norm(x, gain, bias)
+    return T.add(x, T.linear(T.gelu(T.linear(h, w1, b1)), w2, b2))
+
+
+def block_inputs(rng, x_shape, d, memory_shape=None):
+    """x, layer-norm gain and bias, the eight projection arrays, then memory if
+    memory_shape is given; random, so every gradient is non-trivial."""
+    arrays = [rng.normal(size=x_shape), 1.0 + 0.1 * rng.normal(size=d), rng.normal(size=d)]
+    arrays += [rng.normal(size=(d, d) if i % 2 == 0 else d) for i in range(8)]
+    return arrays + ([] if memory_shape is None else [rng.normal(size=memory_shape)])
+
+
+def assert_fused_matches(fused, composed, arrays):
+    """fused(*leaves) and composed(*leaves): forward values and every leaf's
+    gradient of sum(out * out) equal at atol=0; returns the fused output."""
+    outs = []
+    for op in (fused, composed):
+        leaves = [leaf(a) for a in arrays]
+        out = op(*leaves)
+        T.tsum(T.mul(out, out)).backward()
+        outs.append((out, leaves))
+    (got, got_leaves), (want, want_leaves) = outs
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=0)
+    for i, (a, b) in enumerate(zip(got_leaves, want_leaves)):
+        assert a.grad is not None, f"input {i} missing grad"
+        np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=0, err_msg=f"input {i}")
+    return got
 
 
 class TestElementwise:
@@ -198,86 +259,88 @@ class TestNormalizationAttention:
             T.layer_norm(leaf(np.zeros((2, 4))), leaf(np.zeros(3)), leaf(np.zeros(4)))
 
     def test_softmax_forward(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(3, 5))
-        np.testing.assert_allclose(softmax_via_attention(Tensor(x[None])).data[0],
-                                   softmax_naive(x), atol=1e-12)
+        x = np.random.default_rng(4).normal(size=(3, 5))
+        np.testing.assert_allclose(softmax_via_attention(Tensor(x)).data, softmax_naive(x),
+                                   atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
-        x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 7)))
-        s = softmax_via_attention(x).data
-        np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-12)
+        x = Tensor(np.random.default_rng(5).normal(size=(4, 7)))
+        np.testing.assert_allclose(softmax_via_attention(x).data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_softmax_grad(self):
-        fd_check(lambda a, b: T.tsum(T.mul(softmax_via_attention(T.reshape(a, (1, 3, 5))),
-                                           T.reshape(b, (1, 3, 5)))),
-                 (3, 5), (3, 5))
+        fd_check(lambda a, b: T.tsum(T.mul(softmax_via_attention(a), b)), (3, 5), (3, 5))
 
+    # dh = 4 in the block tests below, so 1/sqrt(dh) is exact
     def test_attention_matches_composition(self):
         rng = np.random.default_rng(6)
-        bsz, tq, tk, d, n_heads = 2, 3, 5, 8, 2  # dh = 4: 1/sqrt(dh) is exact
-        xq, xkv = rng.normal(size=(bsz, tq, d)), rng.normal(size=(bsz, tk, d))
-        ws = attention_weights(rng, d)
-        got = T.attention(Tensor(xq), Tensor(xkv), *map(Tensor, ws), n_heads).data
-        ref = attention_reference(xq, xkv, *ws, n_heads)
-        np.testing.assert_allclose(got, ref, rtol=0, atol=0)
-        self_attn = T.attention(Tensor(xkv), Tensor(xkv), *map(Tensor, ws), n_heads).data
-        np.testing.assert_allclose(self_attn, attention_reference(xkv, xkv, *ws, n_heads),
-                                   rtol=0, atol=0)
+        bsz, tq, tk, d, n_heads = 2, 3, 5, 8, 2
+        cross = block_inputs(rng, (bsz, tq, d), d, memory_shape=(bsz, tk, d))
+        got = assert_fused_matches(lambda *t: T.attention(*t[:11], n_heads, t[11]),
+                                   lambda *t: attention_reference(*t[:11], n_heads, t[11]),
+                                   cross)
+        assert got.shape == (bsz, tq, d)
+        # self-attention: the query, key and value gradients meet in the normed input
+        assert_fused_matches(lambda *t: T.attention(*t, n_heads),
+                             lambda *t: attention_reference(*t, n_heads),
+                             block_inputs(rng, (bsz, tk, d), d))
 
     def test_attention_grads(self):
-        def block(xq, xkv, *ws):
-            out = T.attention(xq, xkv, *ws, 2)
+        def block(x, *rest):
+            out = T.attention(x, *rest[:10], 2, *rest[10:])
             return T.tsum(T.mul(out, out))
 
-        weight_shapes = [(8, 8) if i % 2 == 0 else (8,) for i in range(8)]
-        fd_check(block, (2, 3, 8), (2, 5, 8), *weight_shapes, tol=1e-5)
-        # self-attention: the query, key and value gradients meet in one input
-        fd_check(lambda x, *ws: block(x, x, *ws), (2, 5, 8), *weight_shapes, tol=1e-5)
+        shapes = [(8,), (8,)] + [(8, 8) if i % 2 == 0 else (8,) for i in range(8)]
+        fd_check(block, (2, 3, 8), *shapes, (2, 5, 8), tol=1e-5)  # cross-attention
+        fd_check(block, (2, 5, 8), *shapes, tol=1e-5)  # self-attention
 
     def test_attention_shape_checks(self):
-        ws = [leaf(w) for w in attention_weights(np.random.default_rng(0), 6)]
+        x, gain, bias, *ws = [leaf(a) for a in block_inputs(np.random.default_rng(0),
+                                                            (1, 2, 6), 6)]
         with pytest.raises(ShapeError):  # 6 does not split into 4 heads
-            T.attention(leaf(np.zeros((1, 2, 6))), leaf(np.zeros((1, 3, 6))), *ws, 4)
-        with pytest.raises(ShapeError):  # key/value width differs from the query's
-            T.attention(leaf(np.zeros((1, 2, 6))), leaf(np.zeros((1, 3, 5))), *ws, 2)
+            T.attention(x, gain, bias, *ws, 4)
+        with pytest.raises(ShapeError):  # memory width differs from the input's
+            T.attention(x, gain, bias, *ws, 2, leaf(np.zeros((1, 3, 5))))
         with pytest.raises(ShapeError):  # batch sizes differ
-            T.attention(leaf(np.zeros((1, 2, 6))), leaf(np.zeros((2, 3, 6))), *ws, 2)
-        with pytest.raises(ShapeError):  # a bias of the wrong width
-            T.attention(leaf(np.zeros((1, 2, 6))), leaf(np.zeros((1, 3, 6))),
-                        *ws[:-1], leaf(np.zeros(5)), 2)
+            T.attention(x, gain, bias, *ws, 2, leaf(np.zeros((2, 3, 6))))
+        with pytest.raises(ShapeError):  # input is not (B, T, d)
+            T.attention(leaf(np.zeros((2, 6))), gain, bias, *ws, 2)
+        with pytest.raises(ShapeError):  # a projection bias of the wrong width
+            T.attention(x, gain, bias, *ws[:-1], leaf(np.zeros(5)), 2)
+        with pytest.raises(ShapeError, match="layer-norm gain"):
+            T.attention(x, leaf(np.ones(5)), bias, *ws, 2)
+        with pytest.raises(ShapeError, match="layer-norm gain"):
+            T.attention(x, gain, leaf(np.zeros(7)), *ws, 2)
 
     def test_feed_forward_matches_composition(self):
         rng = np.random.default_rng(8)
-        x, w1, b1 = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 6)), rng.normal(size=6)
-        w2, b2 = rng.normal(size=(6, 5)), rng.normal(size=5)
-        leaves = [leaf(a) for a in (x, w1, b1, w2, b2)]
-        fused = T.feed_forward(*leaves)
-        T.tsum(T.mul(fused, fused)).backward()
-        twins = [leaf(a) for a in (x, w1, b1, w2, b2)]
-        composed = T.linear(T.gelu(T.linear(*twins[:3])), *twins[3:])
-        T.tsum(T.mul(composed, composed)).backward()
-        assert fused.shape == (2, 3, 5)
-        np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=0)
-        for a, b in zip(leaves, twins):
-            np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=0)
+        arrays = [rng.normal(size=(2, 3, 4)), 1.0 + 0.1 * rng.normal(size=4),
+                  rng.normal(size=4), rng.normal(size=(4, 6)), rng.normal(size=6),
+                  rng.normal(size=(6, 4)), rng.normal(size=4)]
+        got = assert_fused_matches(T.feed_forward, feed_forward_reference, arrays)
+        assert got.shape == (2, 3, 4)
 
     def test_feed_forward_grads(self):
-        fd_check(lambda x, w1, b1, w2, b2: T.tsum(T.mul(T.feed_forward(x, w1, b1, w2, b2),
-                                                        T.feed_forward(x, w1, b1, w2, b2))),
-                 (2, 3, 4), (4, 6), (6,), (6, 5), (5,), tol=1e-5)
+        def block(*t):
+            out = T.feed_forward(*t)
+            return T.tsum(T.mul(out, out))
+
+        fd_check(block, (2, 3, 4), (4,), (4,), (4, 6), (6,), (6, 4), (4,), tol=1e-5)
 
     def test_feed_forward_shape_checks(self):
-        x = leaf(np.zeros((2, 4)))
-        with pytest.raises(ShapeError):
-            T.feed_forward(x, leaf(np.zeros((3, 6))), leaf(np.zeros(6)),
-                           leaf(np.zeros((6, 5))), leaf(np.zeros(5)))
-        with pytest.raises(ShapeError):
-            T.feed_forward(x, leaf(np.zeros((4, 6))), leaf(np.zeros(6)),
-                           leaf(np.zeros((5, 5))), leaf(np.zeros(5)))
-        with pytest.raises(ShapeError):
-            T.feed_forward(x, leaf(np.zeros((4, 6))), leaf(np.zeros(5)),
-                           leaf(np.zeros((6, 5))), leaf(np.zeros(5)))
+        x, gain, bias = leaf(np.zeros((2, 4))), leaf(np.ones(4)), leaf(np.zeros(4))
+        w1, b1, w2, b2 = (leaf(np.zeros(s)) for s in ((4, 6), 6, (6, 4), 4))
+        with pytest.raises(ShapeError):  # w1 rows differ from the width
+            T.feed_forward(x, gain, bias, leaf(np.zeros((3, 6))), b1, w2, b2)
+        with pytest.raises(ShapeError):  # w2 does not map the hidden width back
+            T.feed_forward(x, gain, bias, w1, b1, leaf(np.zeros((5, 4))), b2)
+        with pytest.raises(ShapeError):  # the residual needs a (d, d)-shaped path
+            T.feed_forward(x, gain, bias, w1, b1, leaf(np.zeros((6, 5))), leaf(np.zeros(5)))
+        with pytest.raises(ShapeError):  # b1 of the wrong width
+            T.feed_forward(x, gain, bias, w1, leaf(np.zeros(5)), w2, b2)
+        with pytest.raises(ShapeError, match="layer-norm gain"):
+            T.feed_forward(x, leaf(np.ones(3)), bias, w1, b1, w2, b2)
+        with pytest.raises(ShapeError, match="layer-norm gain"):
+            T.feed_forward(x, gain, leaf(np.zeros(5)), w1, b1, w2, b2)
 
 
 class TestConv2d:
