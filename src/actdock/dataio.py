@@ -8,6 +8,7 @@ carry a format_version.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -27,32 +28,39 @@ class ParseError(ValueError):
 
 def write_episodes(path, episodes: list[Episode]) -> None:
     """One JSON object per line: header, then per episode its step records in
-    order followed by a summary line."""
+    order followed by a summary line. A value that JSON cannot hold (NaN or
+    infinity) raises ValueError naming the path and the episode, and the
+    partly written file is removed, so no shorter valid file is left behind."""
+    dumps = json.JSONEncoder(allow_nan=False).encode
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps({"format_version": EPISODE_FORMAT_VERSION,
-                            "kind": "episodes"}) + "\n")
+        f.write(dumps({"format_version": EPISODE_FORMAT_VERSION, "kind": "episodes"}) + "\n")
         for ep in episodes:
-            for t, rec in enumerate(ep.records):
-                f.write(json.dumps({
+            try:
+                for t, rec in enumerate(ep.records):
+                    f.write(dumps({
+                        "episode": ep.episode_id,
+                        "t": t,
+                        "dt": rec.dt,
+                        "state": rec.state.vector().tolist(),
+                        "action": rec.action.vector().tolist(),
+                    }) + "\n")
+                f.write(dumps({
                     "episode": ep.episode_id,
-                    "t": t,
-                    "dt": rec.dt,
-                    "state": rec.state.vector().tolist(),
-                    "action": rec.action.vector().tolist(),
+                    "summary": {
+                        "steps": ep.steps,
+                        "r_k": ep.r_k,
+                        "v_k": ep.v_k,
+                        "final_state": ep.final_state.vector().tolist(),
+                        "seed": ep.seed,
+                        "policy": ep.policy,
+                        "failed": ep.failed,
+                        "diagnostic": ep.diagnostic,
+                    },
                 }) + "\n")
-            f.write(json.dumps({
-                "episode": ep.episode_id,
-                "summary": {
-                    "steps": ep.steps,
-                    "r_k": ep.r_k,
-                    "v_k": ep.v_k,
-                    "final_state": ep.final_state.vector().tolist(),
-                    "seed": ep.seed,
-                    "policy": ep.policy,
-                    "failed": ep.failed,
-                    "diagnostic": ep.diagnostic,
-                },
-            }) + "\n")
+            except ValueError as err:
+                f.close()
+                os.remove(path)
+                raise ValueError(f"{path}: episode {ep.episode_id}: {err}") from None
 
 
 def read_episodes(path) -> list[Episode]:
@@ -82,7 +90,8 @@ def read_episodes(path) -> list[Episode]:
                 raise ParseError(path, lineno, "record missing 'episode' field")
             ep_id = obj["episode"]
             if "summary" in obj:
-                if ep_id != current_id:
+                # with no episode open, the summary closes one of zero steps
+                if current_id is not None and ep_id != current_id:
                     raise ParseError(path, lineno, f"summary for episode {ep_id} out of order")
                 s = obj["summary"]
                 try:

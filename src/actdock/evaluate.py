@@ -50,11 +50,20 @@ class Episode:
 
     @property
     def r_k(self) -> float:
-        return float(np.linalg.norm(self.final_state.r))
+        return _norm(self.final_state.r)
 
     @property
     def v_k(self) -> float:
-        return float(np.linalg.norm(self.final_state.v))
+        return _norm(self.final_state.v)
+
+
+def _norm(x: np.ndarray) -> float:
+    """|x|: np.linalg.norm's rounding, which written episodes and reports carry,
+    while every square is far from overflow; math.hypot beyond, where
+    np.linalg.norm would return inf for a finite norm."""
+    if max(map(abs, x.tolist())) < 1e150:
+        return float(np.linalg.norm(x))
+    return math.hypot(*x.tolist())
 
 
 class ActController:

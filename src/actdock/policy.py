@@ -262,39 +262,22 @@ def _encoder_layer(x: Tensor, ps: ParameterSet, name: str, cfg: PolicyConfig) ->
 # --- observation tokenization ---
 
 
-def _patchify(x: Tensor) -> Tensor:
-    """(B, H, W, C) -> (B, H/2, W/2, C*4): every aligned 2x2 patch as one row,
-    ordered (channel, row, column) like a flattened (Cout, Cin, 2, 2) kernel."""
-    bsz, h, w, c = x.shape
-    x = T.reshape(x, (bsz, h // 2, 2, w // 2, 2, c))
-    x = T.transpose(x, (0, 1, 3, 5, 2, 4))
-    return T.reshape(x, (bsz, h // 2, w // 2, c * 4))
-
-
-def _conv(x: Tensor, ps: ParameterSet, name: str) -> Tensor:
-    """Convolution with a kernel that spans one row of x's last axis: the
-    stored (Cout, Cin, kh, kw) kernel as a (Cin*kh*kw, Cout) matrix."""
-    w = ps[f"{name}.w"]
-    return T.linear(x, T.transpose(T.reshape(w, (w.shape[0], -1)), (1, 0)), ps[f"{name}.b"])
-
-
 def image_feature_tokens(images: np.ndarray, ps: ParameterSet, cfg: PolicyConfig) -> Tensor:
     """Backbone features of (B, 1, H, W) images as (B, fh*fw, d_model) tokens,
     before any positional encoding, ordered row-major over the feature grid.
     Tokens are local: each sees exactly one aligned 2^len(channels)-pixel
     square patch.
 
-    The backbone runs channels-last: each 2x2/stride-2 convolution is a
-    patchify followed by a linear map, each 1x1 convolution a linear map."""
+    The backbone runs channels-last as one node (T.backbone): each 2x2/stride-2
+    convolution is a patchify followed by a linear map, each 1x1 convolution a
+    linear map."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or images.shape[1] != 1:
         raise ValueError(f"images must have shape (B, 1, H, W), got {images.shape}")
-    x = Tensor(images[:, 0, :, :, None])
-    for bi in range(len(cfg.backbone_channels)):
-        x = T.gelu(_conv(_patchify(x), ps, f"backbone.b{bi}.down"))
-        x = T.gelu(T.add(x, _conv(x, ps, f"backbone.b{bi}.res")))
-    x = _conv(x, ps, "backbone.proj")
-    return T.reshape(x, (images.shape[0], cfg.feat_height * cfg.feat_width, cfg.d_model))
+    blocks = [tuple(ps[f"backbone.b{bi}.{conv}.{part}"] for conv in ("down", "res")
+                    for part in ("w", "b")) for bi in range(len(cfg.backbone_channels))]
+    return T.backbone(Tensor(images[:, 0, :, :, None]), blocks,
+                      ps["backbone.proj.w"], ps["backbone.proj.b"])
 
 
 def embed_observation(images: np.ndarray, state: np.ndarray, ps: ParameterSet,

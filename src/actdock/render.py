@@ -11,6 +11,7 @@ alone would overflow the image and blind the camera.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +77,14 @@ def project(p_cam: np.ndarray, cam: CameraModel):
     return (float(u), float(v))
 
 
-def _pixel_grid(cam: CameraModel):
-    # Pixel centers at integer coordinates: column j -> u=j, row i -> v=i.
-    u = np.arange(cam.width, dtype=np.float64)
-    v = np.arange(cam.height, dtype=np.float64)
-    return np.meshgrid(u, v)
+@functools.lru_cache(maxsize=8)
+def _pixel_axes(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel-center coordinates u (width,) and v (height, 1), broadcasting to
+    the image: column j -> u=j, row i -> v=i. Cached, read-only."""
+    u = np.arange(width, dtype=np.float64)
+    v = np.arange(height, dtype=np.float64)[:, None]
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
 
 
 def render(state: ChaserState, cam: CameraModel, marker: MarkerGeometry) -> np.ndarray:
@@ -104,9 +108,9 @@ def render(state: ChaserState, cam: CameraModel, marker: MarkerGeometry) -> np.n
     bar_hw = max(cam.f * marker.bar_half_width / depth, 0.5)
     bar_hl = cam.f * marker.bar_half_length / depth
     atten = min(max(marker.atten_range / dist, 0.2), 1.0)
-    uu, vv = _pixel_grid(cam)
-    du = uu - u0
-    dv = vv - v0
+    u, v = _pixel_axes(cam.width, cam.height)
+    du = u - u0  # (W,) and (H, 1): every (H, W) term below broadcasts
+    dv = v - v0
     r2 = du * du + dv * dv
     disc = r2 <= rho * rho
     bars = (np.abs(du) <= bar_hw) & (np.abs(dv) <= bar_hl)

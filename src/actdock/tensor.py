@@ -7,11 +7,12 @@ gradients into every reachable tensor with ``requires_grad``. Graphs are
 built fresh each forward pass and discarded with the result.
 
 The op set is exactly what the docking policy needs: elementwise arithmetic,
-reshape/transpose/concat/indexing, a one-node affine map over the last axis,
-layer normalization, GELU/tanh activations, the reductions used by the L1 and
-KL losses, and the two pre-norm transformer blocks as one node each: layer
-norm -> multi-head attention with its four projections -> residual add, and
-layer norm -> linear -> GELU -> linear -> residual add.
+reshape/concat/indexing, a one-node affine map over the last axis, layer
+normalization, the tanh activation, the reductions used by the L1 and KL
+losses, the convolutional image backbone as one node, and the two pre-norm
+transformer blocks as one node each: layer norm -> multi-head attention with
+its four projections -> residual add, and layer norm -> linear -> GELU ->
+linear -> residual add.
 Inside ``no_grad()`` ops record no graph.
 """
 
@@ -206,16 +207,6 @@ def reshape(a, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), backward)
 
 
-def transpose(a, axes) -> Tensor:
-    a = _coerce(a)
-    axes = tuple(axes)
-
-    def backward(g):
-        _accumulate(a, g.transpose([axes.index(i) for i in range(len(axes))]))
-
-    return _make(a.data.transpose(axes), (a,), backward)
-
-
 def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
     ts = [_coerce(t) for t in tensors]
     if not ts:
@@ -340,17 +331,6 @@ def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """d gelu(x) / dx, given _gelu's tanh term t."""
     du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-
-
-def gelu(a) -> Tensor:
-    """Smooth GELU (tanh form)."""
-    a = _coerce(a)
-    out_data, t = _gelu(a.data)
-
-    def backward(g):
-        _accumulate(a, g * _gelu_slope(a.data, t))
-
-    return _make(out_data, (a,), backward)
 
 
 # --- normalization, transformer blocks ---
@@ -507,6 +487,97 @@ def feed_forward(x, gain, bias, w1, b1, w2, b2) -> Tensor:
         _accumulate(x, (g2 + _layer_norm_backward(gain, bias, xhat, inv, gh2)).reshape(x.shape))
 
     return _make(out_data.reshape(x.shape), (x, gain, bias, w1, b1, w2, b2), backward)
+
+
+def _kernel(w: Tensor) -> np.ndarray:
+    """A stored (Cout, Cin, kh, kw) kernel as a (Cin*kh*kw, Cout) matrix view."""
+    return w.data.reshape(w.shape[0], -1).T
+
+
+def _kernel_grad(x2: np.ndarray, w: Tensor, g2: np.ndarray) -> np.ndarray:
+    """The gradient of w, in its stored shape, for x2 @ _kernel(w) with output
+    gradient g2."""
+    return (x2.T @ g2).T.reshape(w.shape)
+
+
+def backbone(x, blocks, proj_w, proj_b) -> Tensor:
+    """Channels-last convolutional backbone as one node.
+
+    x: (B, H, W, C) images. Each block (down_w, down_b, res_w, res_b) maps its
+    input a to y = gelu(patches(a) @ Wd + bd), then gelu(y + y @ Wr + br), where
+    patches(a) holds every aligned 2x2 patch of a as one row ordered (channel,
+    row, column), and Wd, Wr are the stored (Cout, Cin, 2, 2) and
+    (Cout, Cout, 1, 1) kernels read as (Cin*kh*kw, Cout) matrices: a
+    2x2/stride-2 and a 1x1 convolution. The last block's output goes through
+    the 1x1 projection proj_w (d, C', 1, 1), proj_b (d,). Returns
+    (B, H/2^n * W/2^n, d) tokens, row-major over the feature grid."""
+    x, proj_w, proj_b = _coerce(x), _coerce(proj_w), _coerce(proj_b)
+    blocks = [tuple(map(_coerce, block)) for block in blocks]
+    if x.ndim != 4:
+        raise ShapeError(f"backbone: need images (B, H, W, C), got {x.shape}")
+    bsz, h, w, c = x.shape
+    for dw, db, rw, rb in blocks:
+        cout = dw.shape[0] if dw.ndim else 0
+        if (dw.shape != (cout, c, 2, 2) or rw.shape != (cout, cout, 1, 1)
+                or db.shape != (cout,) or rb.shape != (cout,)):
+            raise ShapeError(f"backbone: a block on {c} channels needs (Cout, {c}, 2, 2) and "
+                             f"(Cout, Cout, 1, 1) kernels and (Cout,) biases, got "
+                             f"{[p.shape for p in (dw, db, rw, rb)]}")
+        if h % 2 or w % 2:
+            raise ShapeError(f"backbone: a {h}x{w} grid does not split into 2x2 patches")
+        h, w, c = h // 2, w // 2, cout
+    d = proj_w.shape[0] if proj_w.ndim else 0
+    if proj_w.shape != (d, c, 1, 1) or proj_b.shape != (d,):
+        raise ShapeError(f"backbone: the projection of {c} channels needs a (d, {c}, 1, 1) "
+                         f"kernel and a (d,) bias, got {proj_w.shape}, {proj_b.shape}")
+
+    a, saved = x.data, []
+    for dw, db, rw, rb in blocks:
+        n, hh, ww, cin = a.shape
+        grid = (n, hh // 2, ww // 2)
+        p2 = a.reshape(n, hh // 2, 2, ww // 2, 2, cin).transpose(0, 1, 3, 5, 2, 4)
+        p2 = p2.reshape(-1, cin * 4)
+        pre1 = p2 @ _kernel(dw)
+        pre1 += db.data
+        y, t1 = _gelu(pre1)
+        pre2 = y @ _kernel(rw)
+        pre2 += rb.data
+        pre2 += y
+        a, t2 = _gelu(pre2)
+        if _grad_enabled:  # under no_grad no backward runs, so keep nothing for it
+            saved.append((p2, pre1, y, t1, pre2, t2, grid))
+        a = a.reshape(grid + (-1,))
+    a2 = a.reshape(-1, c)
+    out_data = a2 @ _kernel(proj_w)
+    out_data += proj_b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, d)
+        _accumulate(proj_w, _kernel_grad(a2, proj_w, g2))
+        _accumulate(proj_b, g2.sum(axis=0))
+        ga = g2 @ _kernel(proj_w).T
+        for i in reversed(range(len(blocks))):
+            dw, db, rw, rb = blocks[i]
+            p2, pre1, y, t1, pre2, t2, grid = saved[i]
+            gpre2 = ga * _gelu_slope(pre2, t2)
+            _accumulate(rw, _kernel_grad(y, rw, gpre2))
+            _accumulate(rb, gpre2.sum(axis=0))
+            # y's gradient sums two terms, the 1x1 convolution's and the skip's,
+            # which any order adds to the same bits
+            gy = gpre2 @ _kernel(rw).T
+            gy += gpre2
+            gpre1 = gy * _gelu_slope(pre1, t1)
+            _accumulate(dw, _kernel_grad(p2, dw, gpre1))
+            _accumulate(db, gpre1.sum(axis=0))
+            if i == 0 and not x.requires_grad:
+                return
+            cin = dw.shape[1]
+            gp = (gpre1 @ _kernel(dw).T).reshape(grid + (cin, 2, 2))
+            ga = gp.transpose(0, 1, 4, 2, 5, 3).reshape(-1, cin)
+        _accumulate(x, ga.reshape(x.shape))
+
+    parents = (x,) + tuple(p for block in blocks for p in block) + (proj_w, proj_b)
+    return _make(out_data.reshape(bsz, h * w, d), parents, backward)
 
 
 # --- parameters, optimizer, checkpoints ---

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from actdock.dataio import (
 from actdock.dynamics import Action, ChaserState, InitMode, SimConfig
 from actdock.evaluate import Episode, StepRecord
 from actdock.expert import ExpertConfig, generate_demos
+
+from conftest import make_state
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +55,50 @@ class TestEpisodeRoundTrip:
         assert head == {"format_version": EPISODE_FORMAT_VERSION,
                         "kind": "episodes"}
 
+    def test_zero_step_episode_round_trip(self, tmp_path, sample_episodes):
+        """An episode with no step records reads back between two others."""
+        final = make_state(r=(0.5, -3.0, 0.25))
+        empty = Episode(episode_id=7, seed=3, policy="act", records=[], final_state=final,
+                        failed=True, diagnostic="diverged")
+        path = tmp_path / "demos.ndjson"
+        write_episodes(path, [sample_episodes[0], empty, sample_episodes[1]])
+        back = read_episodes(path)
+        assert [ep.steps for ep in back] == [sample_episodes[0].steps, 0,
+                                             sample_episodes[1].steps]
+        got = back[1]
+        assert (got.episode_id, got.seed, got.policy, got.records, got.failed,
+                got.diagnostic) == (7, 3, "act", [], True, "diverged")
+        assert got.final_state.vector().tobytes() == final.vector().tobytes()
+
+    def test_huge_final_position_writes_finite_json(self, tmp_path, sample_episodes):
+        """|r| = 1e200 squares past the float range; the summary's r_k is still
+        the finite norm, and the file is strict JSON."""
+        ep = sample_episodes[0]
+        far = Episode(episode_id=1, seed=0, policy="expert", records=ep.records,
+                      final_state=make_state(r=(1e200, -1e200, 0.0), v=(0.0, 3e199, -4e199)))
+        assert (far.r_k, far.v_k) == (math.hypot(1e200, -1e200, 0.0),
+                                      math.hypot(0.0, 3e199, -4e199))
+        path = tmp_path / "far.ndjson"
+        write_episodes(path, [far])
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        summary = [json.loads(line, parse_constant=reject)
+                   for line in path.read_text(encoding="utf-8").splitlines()][-1]["summary"]
+        assert (summary["r_k"], summary["v_k"]) == (far.r_k, far.v_k)
+        assert read_episodes(path)[0].r_k == far.r_k
+
+    def test_unrepresentable_value_names_the_path(self, tmp_path, sample_episodes):
+        """A norm past the float range cannot be written as JSON: ValueError
+        naming the file and the episode, not an Infinity token, and no file."""
+        beyond = Episode(episode_id=4, seed=0, policy="expert", records=[],
+                         final_state=make_state(r=(1.5e308, 1.5e308, 0.0)))
+        path = tmp_path / "beyond.ndjson"
+        with pytest.raises(ValueError, match=f"{path}: episode 4: Out of range float"):
+            write_episodes(path, [sample_episodes[0], beyond])
+        assert not path.exists()  # not a valid-looking file of the episodes before it
+
     def test_blank_lines_tolerated(self, tmp_path, sample_episodes):
         path = tmp_path / "demos.ndjson"
         write_episodes(path, sample_episodes[:1])
@@ -61,16 +108,22 @@ class TestEpisodeRoundTrip:
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# |r| and |v| go into the summary as r_k and v_k, which must be finite JSON
+# numbers: components up to 1e300 keep them so (test_huge_final_position_*),
+# and a larger norm cannot be written (test_unrepresentable_value_names_the_path).
+NORM_FINITE = st.floats(-1e300, 1e300)
 
 
 @st.composite
 def random_states(draw):
-    """Any finite r, v and w; q a random direction scaled to unit length."""
+    """Any finite w, r and v with a finite norm; q a random direction scaled
+    to unit length."""
     q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
     norm = np.linalg.norm(q)
     if norm < 0.1:
         q, norm = np.array([1.0, 0.0, 0.0, 0.0]), 1.0
-    r, v, w = (draw(st.lists(FINITE, min_size=3, max_size=3)) for _ in range(3))
+    r, v = (draw(st.lists(NORM_FINITE, min_size=3, max_size=3)) for _ in range(2))
+    w = draw(st.lists(FINITE, min_size=3, max_size=3))
     return ChaserState(r=r, v=v, q=q / norm, w=w)
 
 
@@ -80,7 +133,7 @@ def random_episodes(draw, episode_id):
                           action=Action.from_vector(draw(st.lists(FINITE, min_size=6,
                                                                   max_size=6))),
                           dt=draw(FINITE))
-               for _ in range(draw(st.integers(1, 4)))]
+               for _ in range(draw(st.integers(0, 4)))]
     return Episode(episode_id=episode_id, seed=draw(st.integers(0, 2**63 - 1)),
                    policy=draw(st.text(max_size=8)), records=records,
                    final_state=draw(random_states()), failed=draw(st.booleans()),
@@ -166,6 +219,12 @@ class TestEpisodeParseErrors:
         path = tmp_path / "e.ndjson"
         _write_lines(path, [self.HEADER, self.STEP])
         with pytest.raises(ParseError, match="no summary"):
+            read_episodes(path)
+
+    def test_summary_for_another_open_episode(self, tmp_path):
+        path = tmp_path / "e.ndjson"
+        _write_lines(path, [self.HEADER, self.STEP, self.summary(episode=1)])
+        with pytest.raises(ParseError, match="summary for episode 1 out of order"):
             read_episodes(path)
 
     def test_interleaved_episodes(self, tmp_path):

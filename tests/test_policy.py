@@ -347,3 +347,24 @@ class TestInferChunk:
         with pytest.raises(T.ShapeError):  # a start for another batch size
             infer_chunk(images[0], states[0], params, cfg,
                         policy_mod.decoder_start(params, cfg, 2))
+
+    def test_control_step_tensor_count(self, monkeypatch):
+        """One B=1 infer_chunk at the default config, with the decoder start
+        precomputed as ActController.act runs it, builds exactly this many
+        Tensors: each op output and each wrapped input is one. A change that
+        adds per-step nodes must move this pin on purpose."""
+        cfg = PolicyConfig()
+        params = init_params(cfg, seed=0)
+        images, states = obs_batch(cfg, bsz=1)
+        with T.no_grad():
+            start = policy_mod.decoder_start(params, cfg, 1)
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        infer_chunk(images[0], states[0], params, cfg, start)
+        assert len(built) == 29

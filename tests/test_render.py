@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from actdock.dynamics import look_at_port
-from actdock.render import CameraModel, MarkerGeometry, project, render
+from actdock.dynamics import (InitMode, episode_rng, look_at_port, quat_rotate_inv,
+                               sample_initial)
+from actdock.render import CameraModel, MarkerGeometry, _pixel_axes, project, render
 
 from conftest import make_state
 
@@ -145,3 +146,73 @@ class TestRender:
             MarkerGeometry(core_radius=1.5).validate()  # core >= disc
         with pytest.raises(ValueError):
             MarkerGeometry(core_level=1.0).validate()
+
+
+def render_meshgrid(state, cam, marker):
+    """render with its pixel offsets taken from a full np.meshgrid of pixel
+    centers, as it was first written: the reference for TestPixelAxes."""
+    p_cam = quat_rotate_inv(state.q, -state.r)
+    img = np.zeros((cam.height, cam.width), dtype=np.float64)
+    if p_cam[2] <= 1e-9:
+        return img
+    u0, v0 = project(p_cam, cam)
+    depth = p_cam[2]
+    dist = float(np.linalg.norm(p_cam))
+    rho = cam.f * marker.radius / depth
+    rho_core = cam.f * marker.core_radius / depth
+    rho_dot = max(cam.f * marker.dot_radius / depth, 0.75)
+    bar_hw = max(cam.f * marker.bar_half_width / depth, 0.5)
+    bar_hl = cam.f * marker.bar_half_length / depth
+    atten = min(max(marker.atten_range / dist, 0.2), 1.0)
+    uu, vv = np.meshgrid(np.arange(cam.width, dtype=np.float64),
+                         np.arange(cam.height, dtype=np.float64))
+    du = uu - u0
+    dv = vv - v0
+    r2 = du * du + dv * dv
+    disc = r2 <= rho * rho
+    bars = (np.abs(du) <= bar_hw) & (np.abs(dv) <= bar_hl)
+    bars |= (np.abs(dv) <= bar_hw) & (np.abs(du) <= bar_hl)
+    img[disc | bars] = atten
+    img[r2 <= rho_core * rho_core] = marker.core_level * atten
+    img[r2 <= rho_dot * rho_dot] = atten
+    return img
+
+
+def pixel_axes_states():
+    """SAME and RANDOM starts, each also moved in to close range and aimed
+    off the port; close-range states facing the port, centred and offset;
+    and a port behind the camera."""
+    states = []
+    for mode in InitMode:
+        for i in range(12):
+            rng = episode_rng(7, i)
+            start = sample_initial(mode, rng)
+            for scale in (1.0, 0.2, 0.02):
+                r = start.r * scale
+                aim = r + rng.normal(scale=0.3 * np.linalg.norm(r), size=3)
+                states.append(make_state(r=r, q=look_at_port(aim)))
+    for z in (0.05, 0.12, 0.3, 0.8):
+        for dx in (0.0, 0.02, -0.07):
+            facing = look_at_port(np.array([0.0, -z, 0.0]))
+            states.append(make_state(r=(dx, -z, 0.5 * dx), q=facing))
+    states.append(make_state(r=(0.0, -25.0, 0.0), q=look_at_port(np.array([0.0, 25.0, 0.0]))))
+    return states
+
+
+class TestPixelAxes:
+    @pytest.mark.parametrize("cam", [CameraModel(), CameraModel(f=10.0, cx=9.5, cy=4.0,
+                                                                width=19, height=9)])
+    def test_frames_match_meshgrid_form_bit_for_bit(self, cam, marker):
+        states = pixel_axes_states()
+        frames = [render(s, cam, marker) for s in states]
+        assert sum(f.any() for f in frames) > len(frames) // 2  # most frames see the marker
+        assert not frames[-1].any()  # the port behind the camera
+        for i, (s, got) in enumerate(zip(states, frames)):
+            want = render_meshgrid(s, cam, marker)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), f"state {i}"
+
+    def test_axes_cached_read_only(self):
+        u, v = _pixel_axes(4, 3)
+        assert _pixel_axes(4, 3)[0] is u
+        assert u.shape == (4,) and v.shape == (3, 1)
+        assert not u.flags.writeable and not v.flags.writeable

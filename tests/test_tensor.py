@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import actdock.tensor as T
 from actdock.tensor import GraphError, ParameterSet, ShapeError, Tensor
 
-from actdock.policy import _conv, _patchify
 from oracles import central_diff, conv2d_naive, layer_norm_naive, softmax_naive
 
 
@@ -18,12 +17,39 @@ def leaf(data):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
 
 
+def transpose_node(a, axes):
+    """a.transpose(axes) as its own node."""
+    inverse = tuple(np.argsort(axes))
+    return T._make(a.data.transpose(axes), (a,), lambda g: T._accumulate(a, g.transpose(inverse)))
+
+
+def gelu_node(a):
+    """The engine's GELU (T._gelu, T._gelu_slope) as its own node."""
+    out, t = T._gelu(a.data)
+    return T._make(out, (a,), lambda g: T._accumulate(a, g * T._gelu_slope(a.data, t)))
+
+
 def conv_nhwc(x, w, b):
     """The backbone's stride = kernel convolution of (B, H, W, Cin) x with a
-    (Cout, Cin, k, k) kernel, k in {1, 2}."""
+    (Cout, Cin, k, k) kernel, k in {1, 2}, composed node by node: for k = 2 a
+    patchify (every aligned 2x2 patch as one row ordered (channel, row,
+    column)), then T.linear with the kernel read as a (Cin*k*k, Cout) matrix."""
     if w.shape[-1] == 2:
-        x = _patchify(x)
-    return _conv(x, {"c.w": w, "c.b": b}, "c")
+        bsz, h, wd, c = x.shape
+        x = T.reshape(x, (bsz, h // 2, 2, wd // 2, 2, c))
+        x = T.reshape(transpose_node(x, (0, 1, 3, 5, 2, 4)), (bsz, h // 2, wd // 2, c * 4))
+    return T.linear(x, transpose_node(T.reshape(w, (w.shape[0], -1)), (1, 0)), b)
+
+
+def backbone_reference(x, blocks, proj_w, proj_b):
+    """T.backbone composed node by node, as the policy built it before the
+    fusion: per block a 2x2 convolution, GELU, x + 1x1 convolution, GELU; then
+    the 1x1 projection and the token reshape."""
+    for dw, db, rw, rb in blocks:
+        x = gelu_node(conv_nhwc(x, dw, db))
+        x = gelu_node(T.add(x, conv_nhwc(x, rw, rb)))
+    x = conv_nhwc(x, proj_w, proj_b)
+    return T.reshape(x, (x.shape[0], x.shape[1] * x.shape[2], x.shape[3]))
 
 
 def fd_check(build, *shapes, h=1e-6, tol=1e-6, rng_seed=0):
@@ -109,7 +135,7 @@ def attention_reference(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, 
 def feed_forward_reference(x, gain, bias, w1, b1, w2, b2):
     """The pre-norm feed-forward block composed node by node."""
     h = T.layer_norm(x, gain, bias)
-    return T.add(x, T.linear(T.gelu(T.linear(h, w1, b1)), w2, b2))
+    return T.add(x, T.linear(gelu_node(T.linear(h, w1, b1)), w2, b2))
 
 
 def block_inputs(rng, x_shape, d, memory_shape=None):
@@ -159,21 +185,17 @@ class TestElementwise:
 
     def test_gelu_matches_reference_forward(self):
         x = np.linspace(-3, 3, 13)
-        got = T.gelu(Tensor(x)).data
+        got = gelu_node(Tensor(x)).data
         ref = 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x**3)))
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
     def test_gelu_grad(self):
-        fd_check(lambda a: T.tsum(T.gelu(a)), (7,))
+        fd_check(lambda a: T.tsum(gelu_node(a)), (7,))
 
 
 class TestShapeOps:
     def test_reshape(self):
         fd_check(lambda a: T.tsum(T.mul(T.reshape(a, (6,)), T.reshape(a, (6,)))), (2, 3))
-
-    def test_transpose(self):
-        fd_check(lambda a, b: T.tsum(T.mul(T.transpose(a, (1, 0, 2)), b)),
-                 (2, 3, 4), (3, 2, 4))
 
     def test_concat(self):
         fd_check(lambda a, b: T.tsum(T.mul(T.concat([a, b], axis=1),
@@ -344,8 +366,9 @@ class TestNormalizationAttention:
 
 
 class TestConv2d:
-    """The backbone's convolutions, channels-last: kernel size equals stride
-    (2x2/stride-2 through the patchify, 1x1) and there is no padding."""
+    """The node-by-node convolutions of backbone_reference, channels-last:
+    kernel size equals stride (2x2/stride-2 through the patchify, 1x1) and
+    there is no padding. TestBackbone holds T.backbone to this reference."""
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 0)])
     def test_forward_matches_naive(self, stride, pad):
@@ -363,6 +386,76 @@ class TestConv2d:
 
     def test_one_by_one_kernel(self):
         fd_check(lambda x, w, b: T.tsum(conv_nhwc(x, w, b)), (1, 4, 4, 3), (2, 3, 1, 1), (2,))
+
+
+def backbone_arrays(rng, x_shape, channels, d):
+    """Images, then (down_w, down_b, res_w, res_b) per block, then the
+    projection's kernel and bias; random, so every gradient is non-trivial."""
+    arrays, cin = [rng.uniform(size=x_shape)], x_shape[-1]
+    for cout in channels:
+        arrays += [rng.normal(size=(cout, cin, 2, 2)), rng.normal(size=cout),
+                   0.5 * rng.normal(size=(cout, cout, 1, 1)), rng.normal(size=cout)]
+        cin = cout
+    return arrays + [rng.normal(size=(d, cin, 1, 1)), rng.normal(size=d)]
+
+
+def call_backbone(op, x, *params):
+    """op(x, blocks, proj_w, proj_b) from backbone_arrays' flat order."""
+    blocks = [params[i:i + 4] for i in range(0, len(params) - 2, 4)]
+    return op(x, blocks, params[-2], params[-1])
+
+
+class TestBackbone:
+    """T.backbone, the whole image backbone as one node."""
+
+    @pytest.mark.parametrize("x_shape,channels", [((2, 8, 8, 1), (3, 4, 5)),
+                                                  ((1, 4, 8, 2), (3, 2))])
+    def test_matches_composition(self, x_shape, channels):
+        arrays = backbone_arrays(np.random.default_rng(11), x_shape, channels, 6)
+        got = assert_fused_matches(lambda *t: call_backbone(T.backbone, *t),
+                                   lambda *t: call_backbone(backbone_reference, *t), arrays)
+        n = len(channels)
+        assert got.shape == (x_shape[0], (x_shape[1] >> n) * (x_shape[2] >> n), 6)
+
+    def test_matches_composition_with_constant_images(self):
+        """The policy's images need no gradient; every parameter gradient
+        still matches the composition's bit for bit."""
+        x, *arrays = backbone_arrays(np.random.default_rng(12), (2, 8, 8, 1), (3, 4, 5), 6)
+        grads = []
+        for op in (T.backbone, backbone_reference):
+            leaves = [leaf(a) for a in arrays]
+            out = call_backbone(op, Tensor(x), *leaves)
+            T.tsum(T.mul(out, out)).backward()
+            grads.append([t.grad for t in leaves])
+        for i, (a, b) in enumerate(zip(*grads)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=0, err_msg=f"parameter {i}")
+
+    def test_grads(self):
+        def net(*t):
+            out = call_backbone(T.backbone, *t)
+            return T.tsum(T.mul(out, out))
+
+        shapes = [a.shape for a in backbone_arrays(np.random.default_rng(0), (1, 4, 4, 2),
+                                                   (2, 3), 2)]
+        fd_check(net, *shapes, tol=1e-5)
+
+    def test_shape_checks(self):
+        x, dw, db, rw, rb, pw, pb = (leaf(a) for a in backbone_arrays(
+            np.random.default_rng(0), (1, 4, 4, 2), (3,), 5))
+        with pytest.raises(ShapeError, match="images"):  # not (B, H, W, C)
+            T.backbone(leaf(np.zeros((4, 4, 2))), [(dw, db, rw, rb)], pw, pb)
+        with pytest.raises(ShapeError, match="2x2 patches"):  # odd grid
+            T.backbone(leaf(np.zeros((1, 5, 4, 2))), [(dw, db, rw, rb)], pw, pb)
+        with pytest.raises(ShapeError, match="on 2 channels"):  # kernel reads 1 channel
+            T.backbone(x, [(leaf(np.zeros((3, 1, 2, 2))), db, rw, rb)], pw, pb)
+        with pytest.raises(ShapeError, match="on 2 channels"):  # 1x1 kernel of another width
+            T.backbone(x, [(dw, db, leaf(np.zeros((2, 2, 1, 1))), rb)], pw, pb)
+        with pytest.raises(ShapeError, match="on 2 channels"):  # bias of the wrong width
+            T.backbone(x, [(dw, leaf(np.zeros(2)), rw, rb)], pw, pb)
+        with pytest.raises(ShapeError, match="projection of 3 channels"):
+            T.backbone(x, [(dw, db, rw, rb)], leaf(np.zeros((5, 2, 1, 1))), pb)
+        with pytest.raises(ShapeError, match="projection of 3 channels"):
+            T.backbone(x, [(dw, db, rw, rb)], pw, leaf(np.zeros(4)))
 
 
 class TestGraph:

@@ -106,9 +106,9 @@ def graph_size(root):
 
 
 def test_default_bc_loss_graph_size():
-    """Every pre-norm attention and feed-forward block (layer norm, block,
-    residual add) is one node; splitting one again (or adding nodes anywhere
-    else) changes these counts."""
+    """The image backbone and every pre-norm attention and feed-forward block
+    (layer norm, block, residual add) is one node; splitting one again (or
+    adding nodes anywhere else) changes these counts."""
     cfg = PolicyConfig()
     params = init_params(cfg, seed=0)
     rng = np.random.default_rng(0)
@@ -119,7 +119,7 @@ def test_default_bc_loss_graph_size():
     style = policy.encode_style(states, targets, params, cfg, rng.normal(size=(2, cfg.d_z)))
     pred = policy.predict_chunk(tokens, style.z, params, cfg)
     total, _, _ = bc_loss(pred, targets, np.ones((2, cfg.k), dtype=bool), style, beta=10.0)
-    assert graph_size(total) == (264, 99)
+    assert graph_size(total) == (228, 63)
 
 
 def fake_episode(actions, eid=0):
